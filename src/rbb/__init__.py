@@ -47,7 +47,6 @@ from .search import (
     SearchBounds,
     SearchOutcome,
     Witness,
-    check_consistency,
     check_nonvalidity,
     find_model,
     find_models,

@@ -7,7 +7,8 @@ exit codes are part of the contract and scripts may rely on them:
     0  success: parsed, evaluated, validated, witness found
     1  rejected: a proof failed, a model violated its frame properties,
        or a library fixture did not check
-    2  malformed input: unparsable formula, bad file, unknown name
+    2  malformed input: unparsable formula, bad file, unknown name,
+       or a formula nested too deeply to traverse
     3  bounded search exhausted without a witness
     4  search budget exceeded
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from collections.abc import Sequence
 
@@ -340,13 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Proof checking, model evaluation, and bounded model "
         "search for the logic of reason-based belief.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for any sampled output; the fixed default keeps runs "
-        "reproducible (current subcommands are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help_text, fmt="text", theory=False, bounds=False):
@@ -408,11 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.handler(args)
     except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -19,6 +19,11 @@ non-point family can only create frame obligations, so the minimal choice
 is also the completeness-optimal one.  Otherwise families are enumerated at
 every world from the same seed pool.
 
+The quick checks evaluate goals on raw masks with the evaluator the
+public functions use, :class:`~rbb.semantics._Ctx`, so the satisfaction
+clauses are written down once.  Goal analysis happens once per search: the
+Believes operands that seed the families are collected up front, and one
+memo of quantifier instances serves every context the search builds.
 A candidate that survives the quick checks is rebuilt as a public
 :class:`~rbb.semantics.Model` and re-examined with `validate_model` and
 `satisfies`, so the enumerator's bitmask shortcuts are never the final
@@ -37,6 +42,7 @@ from typing import Callable, Iterable, Iterator
 from .parser import print_formula
 from .semantics import (
     Model,
+    _Ctx,
     ensure_in_language,
     make_model,
     model_to_doc,
@@ -47,10 +53,8 @@ from .syntax import (
     SIGMA_NAME,
     Adequate,
     Believes,
-    Eq,
     ForAll,
     Formula,
-    Letter,
     Not,
     Or,
     Supports,
@@ -59,7 +63,6 @@ from .syntax import (
     is_free_for,
     subformulas,
     substitute,
-    term_name,
 )
 from .theory import TheoryConfig
 
@@ -156,68 +159,6 @@ def _conjuncts(formula: Formula) -> Iterator[Formula]:
         yield from _conjuncts(_neg(formula.sub.right))
     else:
         yield formula
-
-
-class _Eval:
-    """Extension computation over raw masks, mirroring the public clauses.
-
-    This is the enumerator's fast path only; accepted candidates are always
-    re-checked through the public Model API.  ``families`` entries may be
-    None for worlds whose neighborhoods are not yet fixed; belief comes out
-    false there, which is sound for the staged checks because belief-free
-    positions never read those bits.
-    """
-
-    __slots__ = ("cfg", "n", "full", "letters", "rows", "diag", "families", "memo")
-
-    def __init__(self, cfg, n, letters, rows, diag, families) -> None:
-        self.cfg = cfg
-        self.n = n
-        self.full = (1 << n) - 1
-        self.letters = letters
-        self.rows = rows
-        self.diag = diag
-        self.families = families
-        self.memo: dict[Formula, int] = {}
-
-    def ext(self, formula: Formula) -> int:
-        cached = self.memo.get(formula)
-        if cached is not None:
-            return cached
-        if isinstance(formula, Letter):
-            out = self.letters.get(formula.name, 0)
-        elif isinstance(formula, Not):
-            out = self.full ^ self.ext(formula.sub)
-        elif isinstance(formula, Or):
-            out = self.ext(formula.left) | self.ext(formula.right)
-        elif isinstance(formula, Supports):
-            row = self.rows[term_name(formula.reason)]
-            inside = self.ext(formula.sub)
-            out = 0
-            for i in range(self.n):
-                if row[i] & ~inside == 0:
-                    out |= 1 << i
-        elif isinstance(formula, Adequate):
-            out = self.diag[term_name(formula.reason)]
-        elif isinstance(formula, Believes):
-            inside = self.ext(formula.sub)
-            out = 0
-            for i, family in enumerate(self.families):
-                if family is not None and inside in family:
-                    out |= 1 << i
-        elif isinstance(formula, Eq):
-            out = self.full if term_name(formula.left) == term_name(formula.right) else 0
-        else:
-            assert isinstance(formula, ForAll)
-            out = self.full
-            for name in self.cfg.reasons:
-                if not is_free_for(name, formula.var, formula.sub):
-                    continue
-                out &= self.ext(substitute(formula.sub, formula.var, name))
-                if out == 0:
-                    break
-        self.memo[formula] = out
-        return out
 
 
 def _supersets(base: int, full: int) -> Iterator[int]:
@@ -332,13 +273,10 @@ def _reason_options(n: int, restricted: bool) -> list[tuple[list[int], int]]:
     return per_reason
 
 
-def _seed_pool(
-    goal_list: tuple[Formula, ...],
-    active: tuple[str, ...],
-    diag: dict[str, int],
-    evaluator: _Eval,
-) -> list[int]:
-    """Sets worth offering a neighborhood family.
+def _believed_operands(
+    goal_list: tuple[Formula, ...], cfg: TheoryConfig
+) -> tuple[Formula, ...]:
+    """The formulas whose extensions seed the neighborhood families.
 
     Membership of N(w) is only ever tested against the extension of some
     Believes operand in the goals, so those extensions, the adequacy sets,
@@ -350,18 +288,8 @@ def _seed_pool(
     cannot be fixed ahead of the family assignment, and families outside
     the pool are already outside the advertised search space.
     """
-    pool: list[int] = []
-    seen: set[int] = set()
-
-    def add(mask: int) -> None:
-        if mask not in seen:
-            seen.add(mask)
-            pool.append(mask)
-
-    for name in active:
-        add(diag[name])
-    cfg = evaluator.cfg
     declared = set(cfg.reasons)
+    operands: list[Formula] = []
     for goal in goal_list:
         for sub in subformulas(goal):
             if not isinstance(sub, Believes) or _mentions(sub.sub, (Believes,)):
@@ -369,7 +297,7 @@ def _seed_pool(
             body = sub.sub
             free_vars = sorted(free_reasons(body) - declared)
             if not free_vars:
-                add(evaluator.ext(body))
+                operands.append(body)
                 continue
             for combo in itertools.product(cfg.reasons, repeat=len(free_vars)):
                 inst = body
@@ -380,8 +308,20 @@ def _seed_pool(
                         break
                     inst = substitute(inst, var, name)
                 if not blocked and not free_reasons(inst) - declared:
-                    add(evaluator.ext(inst))
-    return pool
+                    operands.append(inst)
+    return tuple(dict.fromkeys(operands))
+
+
+def _seed_pool(
+    active: tuple[str, ...],
+    diag: dict[str, int],
+    operands: tuple[Formula, ...],
+    ctx: _Ctx,
+) -> list[int]:
+    """Sets worth offering a neighborhood family, first occurrence first."""
+    masks = [diag[name] for name in active]
+    masks.extend(ctx.extension(body) for body in operands)
+    return list(dict.fromkeys(masks))
 
 
 def _family_menu(
@@ -431,7 +371,7 @@ def iter_candidates(
     are dropped before being built; with it off the whole closure-restricted
     space streams through, which is what the enumeration counting tests
     measure.  ``deadline`` is a monotonic-clock cutoff; past it the internal
-    budget signal fires and `find_model` turns it into an outcome.
+    budget signal fires and `find_models` turns it into an outcome.
     """
     bounds = bounds or SearchBounds()
     split: set[Formula] = set()
@@ -440,6 +380,8 @@ def iter_candidates(
         split.update(_conjuncts(goal))
     goal_list = tuple(sorted(split, key=print_formula))
     active_reasons, active_letters = _active_alphabets(goal_list, cfg, bounds)
+    operands = _believed_operands(goal_list, cfg)
+    instances: dict[ForAll, tuple[Formula, ...]] = {}
 
     restricted = not cfg.sigma and not any(_nests(g, Supports) for g in goal_list)
     point_ready = not any(_nests(g, Believes) for g in goal_list)
@@ -481,6 +423,7 @@ def iter_candidates(
         state["worlds"] = n
         world_names = tuple(f"w{i}" for i in range(n))
         base_options = _reason_options(n, restricted)
+        unfixed = (None,) * n
         letter_space = range(1 << len(active_letters))
         for point_val in letter_space:
             for rest in itertools.combinations_with_replacement(letter_space, n - 1):
@@ -490,31 +433,22 @@ def iter_candidates(
                         if mask >> j & 1:
                             letters[name] |= 1 << i
                 if prune and val_only:
-                    stage0 = _Eval(cfg, n, letters, {}, {}, None)
-                    if not all(stage0.ext(g) & 1 for g in val_only):
+                    stage0 = _Ctx(cfg, n, letters, {}, {}, unfixed, instances)
+                    if not all(stage0.extension(g) & 1 for g in val_only):
                         continue
                 menus = []
                 for name in active_reasons:
                     if prune and name in single:
                         goals_here = single[name]
-                        menus.append(
-                            [
-                                opt
-                                for opt in base_options
-                                if all(
-                                    _Eval(
-                                        cfg,
-                                        n,
-                                        letters,
-                                        {name: opt[0]},
-                                        {name: opt[1]},
-                                        None,
-                                    ).ext(g)
-                                    & 1
-                                    for g in goals_here
-                                )
-                            ]
-                        )
+                        kept = []
+                        for opt in base_options:
+                            ctx = _Ctx(
+                                cfg, n, letters, {name: opt[0]}, {name: opt[1]},
+                                unfixed, instances,
+                            )
+                            if all(ctx.extension(g) & 1 for g in goals_here):
+                                kept.append(opt)
+                        menus.append(kept)
                     else:
                         menus.append(base_options)
                 for assignment in itertools.product(*menus):
@@ -531,9 +465,9 @@ def iter_candidates(
                         if name not in rows:
                             rows[name] = [0] * n
                             diag[name] = 0
-                    evaluator = _Eval(cfg, n, letters, rows, diag, None)
+                    ctx = _Ctx(cfg, n, letters, rows, diag, unfixed, instances)
                     if prune and joint and not all(
-                        evaluator.ext(g) & 1 for g in joint
+                        ctx.extension(g) & 1 for g in joint
                     ):
                         continue
                     yield from _family_stage(
@@ -545,7 +479,8 @@ def iter_candidates(
                         rows,
                         diag,
                         active_reasons,
-                        evaluator,
+                        operands,
+                        ctx,
                         prune,
                         point_ready,
                         tick,
@@ -561,7 +496,8 @@ def _family_stage(
     rows: dict[str, list[int]],
     diag: dict[str, int],
     active: tuple[str, ...],
-    evaluator: _Eval,
+    operands: tuple[Formula, ...],
+    ctx: _Ctx,
     prune: bool,
     point_ready: bool,
     tick: Callable[[], None],
@@ -570,7 +506,7 @@ def _family_stage(
     full = (1 << n) - 1
     rows_at = [{name: rows[name][i] for name in cfg.reasons} for i in range(n)]
     forced: tuple[int, ...] = (diag[SIGMA_NAME],) if cfg.sigma else ()
-    pool = _seed_pool(goal_list, active, diag, evaluator)
+    pool = _seed_pool(active, diag, operands, ctx)
 
     if point_ready:
         if cfg.sigma:
@@ -592,10 +528,11 @@ def _family_stage(
         ):
             tick()
             if prune:
-                staged = _Eval(
-                    cfg, n, letters, rows, diag, [family] + [None] * (n - 1)
+                staged = _Ctx(
+                    cfg, n, letters, rows, diag, (family,) + (None,) * (n - 1),
+                    ctx.instances,
                 )
-                if not all(staged.ext(g) & 1 for g in goal_list):
+                if not all(staged.extension(g) & 1 for g in goal_list):
                     continue
             yield _assemble(cfg, world_names, letters, rows, [family, *rests]), (
                 world_names[0]
@@ -611,8 +548,8 @@ def _family_stage(
     for combo in itertools.product(*menus):
         tick()
         if prune:
-            staged = _Eval(cfg, n, letters, rows, diag, list(combo))
-            if not all(staged.ext(g) & 1 for g in goal_list):
+            staged = _Ctx(cfg, n, letters, rows, diag, combo, ctx.instances)
+            if not all(staged.extension(g) & 1 for g in goal_list):
                 continue
         yield _assemble(cfg, world_names, letters, rows, list(combo)), world_names[0]
 
@@ -668,18 +605,8 @@ def find_model(
     bounds: SearchBounds | None = None,
 ) -> SearchOutcome:
     """First witness in enumeration order, or Exhausted, or BudgetExceeded."""
-    bounds = bounds or SearchBounds()
-    deadline = (
-        time.monotonic() + bounds.budget_secs
-        if bounds.budget_secs is not None
-        else None
-    )
-    try:
-        for witness in iter_witnesses(goals, cfg, bounds, deadline):
-            return witness
-    except _OutOfTime as exc:
-        return BudgetExceeded(exc.progress)
-    return Exhausted(bounds)
+    witnesses, outcome = find_models(goals, cfg, bounds, limit=1)
+    return witnesses[0] if witnesses else outcome
 
 
 def find_models(
@@ -736,20 +663,6 @@ def outcome_to_doc(outcome: SearchOutcome) -> dict:
     if isinstance(outcome, Exhausted):
         return {"kind": "exhausted", "bounds": bounds_to_doc(outcome.bounds)}
     return {"kind": "budget-exceeded", "progress": outcome.progress}
-
-
-def check_consistency(
-    goals: Iterable[Formula],
-    cfg: TheoryConfig,
-    bounds: SearchBounds | None = None,
-) -> SearchOutcome:
-    """Witness-existence reading of `find_model`.
-
-    A witness shows the goals are jointly satisfiable over the theory's
-    model class, hence consistent.  Exhausted is not a proof of
-    inconsistency; only the bounded space was searched.
-    """
-    return find_model(goals, cfg, bounds)
 
 
 def check_nonvalidity(

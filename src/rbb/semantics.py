@@ -12,16 +12,21 @@ member of N(w); term equations compare symbols; a universal quantifier is
 evaluated substitutionally over the declared reason alphabet, skipping
 substituents that are not free for the variable.
 
-Evaluation works on an interned representation (worlds as bit positions,
-world sets as integers) with an extension memo per call.  The App variant
-gets no semantics here, matching its proof-theoretic-only status.
+One evaluator, :class:`_Ctx`, states these clauses over an interned
+representation (worlds as bit positions, world sets as integers) with an
+extension memo per context.  The public functions build a context from a
+Model; the bounded search builds its contexts from raw masks, leaves the
+families of worlds it has not fixed yet as None (belief is false there),
+and shares one memo of quantifier instances across a whole search.  The
+App variant gets no semantics here, matching its proof-theoretic-only
+status.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .syntax import (
     Adequate,
@@ -196,103 +201,125 @@ def ensure_in_language(formula: Formula, cfg: TheoryConfig) -> None:
 
 
 class _Ctx:
-    """Bitmask view of one model: world i lives at bit i."""
+    """Bitmask evaluator: world i lives at bit i, a world set is an integer.
 
-    def __init__(self, model: Model, cfg: TheoryConfig) -> None:
+    A ``families`` entry may be None for a world whose neighborhood is not
+    fixed yet.  ``instances`` maps each quantifier to its capture-free
+    instances over the declared reasons; it may be shared between contexts
+    over the same theory configuration.
+    """
+
+    __slots__ = ("cfg", "n", "full", "letters", "rows", "diag", "families",
+                 "instances", "memo")
+
+    def __init__(
+        self,
+        cfg: TheoryConfig,
+        n: int,
+        letters: Mapping[str, int],
+        rows: Mapping[str, list[int]],
+        diag: Mapping[str, int],
+        families: Sequence[frozenset[int] | None],
+        instances: dict[ForAll, tuple[Formula, ...]],
+    ) -> None:
         self.cfg = cfg
-        self.worlds = model.worlds
+        self.n = n
+        self.full = (1 << n) - 1
+        self.letters = letters
+        self.rows = rows
+        self.diag = diag
+        self.families = families
+        self.instances = instances
+        self.memo: dict[Formula, int] = {}
+
+    @classmethod
+    def of_model(cls, model: Model, cfg: TheoryConfig) -> _Ctx:
         index = {w: i for i, w in enumerate(model.worlds)}
-        self.index = index
-        self.full = (1 << len(model.worlds)) - 1
-        self.rows: dict[str, list[int]] = {}
-        self.diag: dict[str, int] = {}
+        n = len(model.worlds)
+        rows: dict[str, list[int]] = {}
+        diag: dict[str, int] = {}
         for reason, pairs in model.access.items():
-            rows = [0] * len(model.worlds)
-            diag = 0
+            row = [0] * n
+            adequate = 0
             for a, b in pairs:
-                rows[index[a]] |= 1 << index[b]
+                row[index[a]] |= 1 << index[b]
                 if a == b:
-                    diag |= 1 << index[a]
-            self.rows[reason] = rows
-            self.diag[reason] = diag
-        self.families: list[frozenset[int]] = []
+                    adequate |= 1 << index[a]
+            rows[reason] = row
+            diag[reason] = adequate
+        letters: dict[str, int] = {}
+        for w, true in model.valuation.items():
+            for letter in true:
+                letters[letter] = letters.get(letter, 0) | 1 << index[w]
+        families = []
         for w in model.worlds:
-            fam = model.neighborhoods[w]
-            self.families.append(
-                frozenset(self._mask(x) for x in fam)
-            )
-        self.letters: dict[str, int] = {}
-        for w, letters in model.valuation.items():
-            for letter in letters:
-                self.letters[letter] = self.letters.get(letter, 0) | 1 << index[w]
-        self._memo: dict[Formula, int] = {}
-
-    def _mask(self, worlds: Iterable[str]) -> int:
-        out = 0
-        for w in worlds:
-            out |= 1 << self.index[w]
-        return out
-
-    def _reason_row(self, name: str) -> list[int]:
-        try:
-            return self.rows[name]
-        except KeyError:
-            raise UnknownReason(name) from None
+            family = set()
+            for x in model.neighborhoods[w]:
+                mask = 0
+                for member in x:
+                    mask |= 1 << index[member]
+                family.add(mask)
+            families.append(frozenset(family))
+        return cls(cfg, n, letters, rows, diag, families, {})
 
     def extension(self, formula: Formula) -> int:
-        cached = self._memo.get(formula)
+        cached = self.memo.get(formula)
         if cached is not None:
             return cached
-        out = self._eval(formula)
-        self._memo[formula] = out
-        return out
-
-    def _eval(self, formula: Formula) -> int:
         if isinstance(formula, Letter):
-            return self.letters.get(formula.name, 0)
-        if isinstance(formula, Not):
-            return self.full ^ self.extension(formula.sub)
-        if isinstance(formula, Or):
-            return self.extension(formula.left) | self.extension(formula.right)
-        if isinstance(formula, Supports):
-            row = self._reason_row(term_name(formula.reason))
+            out = self.letters.get(formula.name, 0)
+        elif isinstance(formula, Not):
+            out = self.full ^ self.extension(formula.sub)
+        elif isinstance(formula, Or):
+            out = self.extension(formula.left) | self.extension(formula.right)
+        elif isinstance(formula, Supports):
+            name = term_name(formula.reason)
+            try:
+                row = self.rows[name]
+            except KeyError:
+                raise UnknownReason(name) from None
             inside = self.extension(formula.sub)
             out = 0
-            for i in range(len(self.worlds)):
+            for i in range(self.n):
                 if row[i] & ~inside == 0:
                     out |= 1 << i
-            return out
-        if isinstance(formula, Adequate):
+        elif isinstance(formula, Adequate):
             name = term_name(formula.reason)
-            if name not in self.rows:
-                raise UnknownReason(name)
-            return self.diag[name]
-        if isinstance(formula, Believes):
+            try:
+                out = self.diag[name]
+            except KeyError:
+                raise UnknownReason(name) from None
+        elif isinstance(formula, Believes):
             inside = self.extension(formula.sub)
             out = 0
             for i, family in enumerate(self.families):
-                if inside in family:
+                if family is not None and inside in family:
                     out |= 1 << i
-            return out
-        if isinstance(formula, Eq):
+        elif isinstance(formula, Eq):
             same = term_name(formula.left) == term_name(formula.right)
-            return self.full if same else 0
-        assert isinstance(formula, ForAll)
-        out = self.full
-        for name in self.cfg.reasons:
-            if not is_free_for(name, formula.var, formula.sub):
-                continue
-            out &= self.extension(substitute(formula.sub, formula.var, name))
-            if out == 0:
-                break
+            out = self.full if same else 0
+        else:
+            assert isinstance(formula, ForAll)
+            insts = self.instances.get(formula)
+            if insts is None:
+                insts = self.instances[formula] = tuple(
+                    substitute(formula.sub, formula.var, name)
+                    for name in self.cfg.reasons
+                    if is_free_for(name, formula.var, formula.sub)
+                )
+            out = self.full
+            for inst in insts:
+                out &= self.extension(inst)
+                if out == 0:
+                    break
+        self.memo[formula] = out
         return out
 
 
 def extension(model: Model, formula: Formula, cfg: TheoryConfig) -> frozenset[str]:
     """The set of worlds where ``formula`` holds."""
     ensure_in_language(formula, cfg)
-    ctx = _Ctx(model, cfg)
-    mask = ctx.extension(formula)
+    mask = _Ctx.of_model(model, cfg).extension(formula)
     return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
 
 
@@ -301,8 +328,8 @@ def satisfies(model: Model, world: str, formula: Formula, cfg: TheoryConfig) -> 
     if world not in model.worlds:
         raise UnknownWorld(f"unknown world {world!r}")
     ensure_in_language(formula, cfg)
-    ctx = _Ctx(model, cfg)
-    return bool(ctx.extension(formula) >> ctx.index[world] & 1)
+    mask = _Ctx.of_model(model, cfg).extension(formula)
+    return bool(mask >> model.worlds.index(world) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +379,7 @@ def validate_model(model: Model, cfg: TheoryConfig) -> PropertyReport:
             f"validation is exhaustive over subsets and caps at "
             f"{MAX_VALIDATION_WORLDS} worlds; got {n}"
         )
-    ctx = _Ctx(model, cfg)
+    ctx = _Ctx.of_model(model, cfg)
     sigma_name = "sigma"
     out: list[Violation] = []
 

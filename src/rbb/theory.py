@@ -22,6 +22,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .syntax import (
     RESERVED_WORDS,
@@ -286,7 +287,11 @@ def is_tautology_instance(formula: Formula) -> bool:
 # already expanded) is an instance of the scheme.
 
 
-def _is_rk(f: Formula) -> bool:
+def _is_cl(f: Formula, cfg: TheoryConfig) -> bool:
+    return is_tautology_instance(f)
+
+
+def _is_rk(f: Formula, cfg: TheoryConfig) -> bool:
     outer = as_implies(f)
     if outer is None or not isinstance(outer[0], Supports):
         return False
@@ -305,7 +310,7 @@ def _is_rk(f: Formula) -> bool:
     )
 
 
-def _is_a(f: Formula) -> bool:
+def _is_a(f: Formula, cfg: TheoryConfig) -> bool:
     outer = as_implies(f)
     if outer is None or not isinstance(outer[0], Supports):
         return False
@@ -318,7 +323,7 @@ def _is_a(f: Formula) -> bool:
     )
 
 
-def _is_rb(f: Formula) -> bool:
+def _is_rb(f: Formula, cfg: TheoryConfig) -> bool:
     outer = as_implies(f)
     if outer is None or not isinstance(outer[0], Supports):
         return False
@@ -331,7 +336,7 @@ def _is_rb(f: Formula) -> bool:
     )
 
 
-def _is_d(f: Formula) -> bool:
+def _is_d(f: Formula, cfg: TheoryConfig) -> bool:
     pair = as_implies(f)
     return (
         pair is not None
@@ -340,7 +345,7 @@ def _is_d(f: Formula) -> bool:
     )
 
 
-def _is_ud(f: Formula) -> bool:
+def _is_ud(f: Formula, cfg: TheoryConfig) -> bool:
     outer = as_implies(f)
     if outer is None or not isinstance(outer[0], ForAll):
         return False
@@ -368,15 +373,15 @@ def _is_ui(f: Formula, cfg: TheoryConfig) -> bool:
     return False
 
 
-def _is_ep(f: Formula) -> bool:
+def _is_ep(f: Formula, cfg: TheoryConfig) -> bool:
     return isinstance(f, Eq) and f.left == f.right
 
 
-def _is_en(f: Formula) -> bool:
+def _is_en(f: Formula, cfg: TheoryConfig) -> bool:
     return isinstance(f, Not) and isinstance(f.sub, Eq) and f.sub.left != f.sub.right
 
 
-def _is_ma(f: Formula) -> bool:
+def _is_ma(f: Formula, cfg: TheoryConfig) -> bool:
     outer = as_implies(f)
     if outer is None or outer[0] != Adequate(atom_term(SIGMA_NAME)):
         return False
@@ -388,11 +393,11 @@ def _is_ma(f: Formula) -> bool:
     )
 
 
-def _is_mb(f: Formula) -> bool:
+def _is_mb(f: Formula, cfg: TheoryConfig) -> bool:
     return f == Believes(Adequate(atom_term(SIGMA_NAME)))
 
 
-def _is_mr(f: Formula) -> bool:
+def _is_mr(f: Formula, cfg: TheoryConfig) -> bool:
     outer = as_implies(f)
     if outer is None or not isinstance(outer[0], Supports):
         return False
@@ -405,7 +410,7 @@ def _is_mr(f: Formula) -> bool:
     )
 
 
-def _is_mt(f: Formula) -> bool:
+def _is_mt(f: Formula, cfg: TheoryConfig) -> bool:
     pair = as_implies(f)
     return (
         pair is not None
@@ -414,7 +419,7 @@ def _is_mt(f: Formula) -> bool:
     )
 
 
-def _is_app(f: Formula) -> bool:
+def _is_app(f: Formula, cfg: TheoryConfig) -> bool:
     outer = as_implies(f)
     if outer is None or not isinstance(outer[0], Supports):
         return False
@@ -433,6 +438,25 @@ def _is_app(f: Formula) -> bool:
     )
 
 
+# Only (UI) reads the configuration: it instantiates over the declared reasons.
+_MATCHERS: dict[SchemeId, Callable[[Formula, TheoryConfig], bool]] = {
+    SchemeId.CL: _is_cl,
+    SchemeId.RK: _is_rk,
+    SchemeId.A: _is_a,
+    SchemeId.RB: _is_rb,
+    SchemeId.D: _is_d,
+    SchemeId.UD: _is_ud,
+    SchemeId.UI: _is_ui,
+    SchemeId.EP: _is_ep,
+    SchemeId.EN: _is_en,
+    SchemeId.MA: _is_ma,
+    SchemeId.MB: _is_mb,
+    SchemeId.MR: _is_mr,
+    SchemeId.MT: _is_mt,
+    SchemeId.APP: _is_app,
+}
+
+
 def match_axiom(formula: Formula, cfg: TheoryConfig) -> SchemeId | None:
     """The first scheme in the fixed priority order that the formula instantiates.
 
@@ -444,48 +468,6 @@ def match_axiom(formula: Formula, cfg: TheoryConfig) -> SchemeId | None:
     """
     enabled = cfg.schemes
     for sid in MATCH_ORDER:
-        if sid not in enabled:
-            continue
-        if sid is SchemeId.CL:
-            if is_tautology_instance(formula):
-                return sid
-        elif sid is SchemeId.RK:
-            if _is_rk(formula):
-                return sid
-        elif sid is SchemeId.A:
-            if _is_a(formula):
-                return sid
-        elif sid is SchemeId.RB:
-            if _is_rb(formula):
-                return sid
-        elif sid is SchemeId.D:
-            if _is_d(formula):
-                return sid
-        elif sid is SchemeId.UD:
-            if _is_ud(formula):
-                return sid
-        elif sid is SchemeId.UI:
-            if _is_ui(formula, cfg):
-                return sid
-        elif sid is SchemeId.EP:
-            if _is_ep(formula):
-                return sid
-        elif sid is SchemeId.EN:
-            if _is_en(formula):
-                return sid
-        elif sid is SchemeId.MA:
-            if _is_ma(formula):
-                return sid
-        elif sid is SchemeId.MB:
-            if _is_mb(formula):
-                return sid
-        elif sid is SchemeId.MR:
-            if _is_mr(formula):
-                return sid
-        elif sid is SchemeId.MT:
-            if _is_mt(formula):
-                return sid
-        elif sid is SchemeId.APP:
-            if _is_app(formula):
-                return sid
+        if sid in enabled and _MATCHERS[sid](formula, cfg):
+            return sid
     return None

@@ -15,7 +15,7 @@ from rbb.jtb import jtb_e, jtb_e_r, jtb_i_r, jtb_nil, scenario
 from rbb.library import derived_library
 from rbb.parser import parse, print_formula
 from rbb.proof import MP, Proof, ProofStep, check_proof
-from rbb.search import SearchBounds, Witness, check_consistency, check_nonvalidity, find_models
+from rbb.search import SearchBounds, Witness, check_nonvalidity, find_model, find_models
 from rbb.semantics import (
     check_rc,
     extension,
@@ -213,7 +213,7 @@ def test_c3_consistency_witnesses():
     sizes = []
     for label, goals, cfg, cap in jobs:
         t0 = time.perf_counter()
-        out = check_consistency(goals, cfg, SearchBounds(max_worlds=cap))
+        out = find_model(goals, cfg, SearchBounds(max_worlds=cap))
         dt = time.perf_counter() - t0
         assert isinstance(out, Witness), label
         assert len(out.model.worlds) <= cap, label

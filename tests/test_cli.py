@@ -125,6 +125,20 @@ def test_eval_needs_a_world(capsys, tmp_path):
     assert code == EXIT_OK and out == "true\n"
 
 
+@pytest.mark.parametrize(
+    "command,conjuncts",
+    [("eval", 200), ("nonvalid", 200), ("parse", 2000)],
+)
+def test_deep_formula_is_bad_input(capsys, tmp_path, command, conjuncts):
+    # Too deep for the recursive traversals: malformed input, not "rejected".
+    argv = [command, " & ".join(["p"] * conjuncts)]
+    if command == "eval":
+        argv[1:1] = ["--model", write_json(tmp_path, "m.json", TINY_MODEL)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and "Traceback" not in out + err
+
+
 def test_validate_model(capsys, tmp_path):
     path = write_json(tmp_path, "m.json", TINY_MODEL)
     code, out, _ = run(capsys, "validate-model", path)

@@ -14,7 +14,6 @@ from rbb.search import (
     Witness,
     bounds_from_doc,
     bounds_to_doc,
-    check_consistency,
     check_nonvalidity,
     find_model,
     find_models,
@@ -71,7 +70,7 @@ def test_outcome_docs():
 
 
 def test_contradiction_exhausts():
-    out = check_consistency([parse("p & ~p", RBB)], RBB, W2)
+    out = find_model([parse("p & ~p", RBB)], RBB, W2)
     assert isinstance(out, Exhausted)
     assert out.bounds == W2
 
@@ -111,9 +110,30 @@ NO_CLOSURE_DOC = {
 
 def test_non_closure_witness_is_pinned():
     goals = [parse(t, NO_CLOSURE_CFG) for t in NO_CLOSURE_TEXTS]
-    out = check_consistency(goals, NO_CLOSURE_CFG, W3)
+    out = find_model(goals, NO_CLOSURE_CFG, W3)
     assert isinstance(out, Witness)
     assert outcome_to_doc(out)["model"] == NO_CLOSURE_DOC
+
+
+# A Believes operand under a quantifier: the seed pool offers the extension
+# of each capture-free instance, r:p | q and s:p | q.  Frozen the same way
+# as the document above; a pool that skipped the instances finds a
+# different, larger first witness.
+QUANTIFIED_TEXTS = ("A t. B (t:p | q)", "~B q", "~B p", "E u. u")
+QUANTIFIED_DOC = {
+    "worlds": ["w0", "w1"],
+    "access": {"r": [], "s": [["w0", "w0"]]},
+    "neighborhoods": {"w0": [["w0", "w1"], ["w1"]], "w1": []},
+    "valuation": {"w0": [], "w1": []},
+    "point": "w0",
+}
+
+
+def test_quantified_operand_witness_is_pinned():
+    goals = [parse(t, NO_CLOSURE_CFG) for t in QUANTIFIED_TEXTS]
+    out = find_model(goals, NO_CLOSURE_CFG, W3)
+    assert isinstance(out, Witness)
+    assert outcome_to_doc(out)["model"] == QUANTIFIED_DOC
 
 
 def test_search_is_deterministic():
@@ -144,7 +164,7 @@ def test_quantifier_outcomes():
     )
     out = check_nonvalidity(parse("r:p -> (A u. u:p)", QRBB), QRBB, W2)
     assert isinstance(out, Witness)
-    got = check_consistency([parse("(E u. u:p) & ~B p", QRBB)], QRBB, W2)
+    got = find_model([parse("(E u. u:p) & ~B p", QRBB)], QRBB, W2)
     assert isinstance(got, Witness)
 
 
