@@ -12,11 +12,17 @@ Reason terms are basic symbols, the distinguished master reason ``sigma``,
 or application compounds ``s * r`` (available only in the App variant of the
 theory family).  Quantifiers bind basic symbols only; ``sigma`` can never be
 bound.
+
+Every node is a frozen, slotted dataclass whose hash is computed once, when
+the node is built, and kept in a ``_hash`` slot.  The cached value is the
+plain dataclass hash of the field tuple, so sets and dicts of formulas
+iterate in the same order as without the cache; what it saves is the
+re-hash of the whole subtree on every memo lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 SIGMA_NAME = "sigma"
@@ -29,11 +35,45 @@ class CaptureError(Exception):
     """Substitution would capture a free occurrence under a quantifier."""
 
 
+def _cached_hash(node) -> int:
+    return node._hash
+
+
+def _reduce(node):
+    # Pickle and copy through the constructor (``__match_args__`` names its
+    # fields): a cached hash of a str field holds only in the process that
+    # computed it.
+    return type(node), tuple(getattr(node, name) for name in node.__match_args__)
+
+
+def _node(cls):
+    """Make ``cls`` a frozen, slotted dataclass with its hash cached at construction.
+
+    ``_hash`` is set after the class's own ``__post_init__`` checks, from the
+    ``__hash__`` that ``dataclass`` generates; ``__hash__`` then reads it.
+    """
+    check = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self) -> None:
+        if check is not None:
+            check(self)
+        object.__setattr__(self, "_hash", field_hash(self))
+
+    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "_hash": "int"}
+    cls._hash = field(init=False, repr=False, compare=False)
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True, slots=True)(cls)
+    field_hash = cls.__hash__  # the generated hash of the field tuple
+    cls.__hash__ = _cached_hash
+    cls.__reduce__ = _reduce
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Reason terms
 
 
-@dataclass(frozen=True)
+@_node
 class Basic:
     name: str
 
@@ -42,12 +82,12 @@ class Basic:
             raise ValueError("use Sigma() for the master reason, not Basic('sigma')")
 
 
-@dataclass(frozen=True)
+@_node
 class Sigma:
     """The distinguished master reason."""
 
 
-@dataclass(frozen=True)
+@_node
 class App:
     """Application compound ``left * right`` (App variant only)."""
 
@@ -87,45 +127,45 @@ def contains_app(term: Reason) -> bool:
 # Formulas
 
 
-@dataclass(frozen=True)
+@_node
 class Letter:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Supports:
     reason: Reason
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Adequate:
     reason: Reason
 
 
-@dataclass(frozen=True)
+@_node
 class Believes:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Eq:
     left: AtomicReason
     right: AtomicReason
 
 
-@dataclass(frozen=True)
+@_node
 class ForAll:
     var: str
     sub: "Formula"

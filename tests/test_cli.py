@@ -4,6 +4,7 @@ Everything here drives `rbb.cli.main` in process; the one environment
 variable the CLI reads is injected with monkeypatch.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -127,7 +128,7 @@ def test_eval_needs_a_world(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "command,conjuncts",
-    [("eval", 200), ("nonvalid", 200), ("parse", 2000)],
+    [("eval", 2000), ("nonvalid", 2000), ("parse", 2000)],
 )
 def test_deep_formula_is_bad_input(capsys, tmp_path, command, conjuncts):
     # Too deep for the recursive traversals: malformed input, not "rejected".
@@ -137,6 +138,68 @@ def test_deep_formula_is_bad_input(capsys, tmp_path, command, conjuncts):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and "Traceback" not in out + err
+
+
+def test_formula_of_200_conjuncts_is_answered(capsys, tmp_path):
+    # Depth about 600: hashing is no longer recursive, so both commands
+    # answer instead of running out of stack.
+    formula = " & ".join(["p"] * 200)
+    path = write_json(tmp_path, "m.json", TINY_MODEL)
+    code, out, err = run(capsys, "eval", "--model", path, formula)
+    assert (code, out, err) == (EXIT_OK, "true\n", "")
+    code, out, err = run(capsys, "nonvalid", "--format", "json", formula)
+    assert code == EXIT_OK and err == ""
+    doc = json.loads(out)
+    assert doc["kind"] == "witness"
+    assert "p" not in doc["model"]["valuation"][doc["model"]["point"]]
+
+
+def _tdtd_nor_witness(t0_pairs):
+    return {
+        "kind": "witness",
+        "model": {
+            "access": {
+                "r": [["w0", "w1"], ["w1", "w1"]],
+                "s": [["w0", "w0"], ["w0", "w1"], ["w1", "w1"]],
+                "t0": t0_pairs,
+            },
+            "neighborhoods": {"w0": [["w0", "w1"], ["w1"]], "w1": []},
+            "point": "w0",
+            "valuation": {"w0": ["q"], "w1": ["p"]},
+            "worlds": ["w0", "w1"],
+        },
+    }
+
+
+def test_tdtd_nor_report_is_pinned(capsys):
+    # The paper's headline Gettier query, at the benchmark's bounds.  The
+    # expected report is the one the search gave before node hashes were
+    # cached; the digest covers the whole output, byte for byte.
+    code, out, _ = run(
+        capsys, "scenario", "TDTD+NoR", "--format", "json",
+        "--bounds", "worlds=3,seeds=4,budget=120",
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    first = _tdtd_nor_witness([])
+    assert doc["consistency"] == first
+    assert doc["witnesses"] == [
+        _tdtd_nor_witness(t0)
+        for t0 in ([], [["w0", "w0"]], [["w0", "w1"]], [["w0", "w0"], ["w0", "w1"]])
+    ]
+    verdicts = [
+        (q["label"], q["status"], q["true_in"], q["witness_count"], q["nonvalidity"]["kind"])
+        for q in doc["queries"]
+    ]
+    assert verdicts == [
+        ("JTBe(p|q)", "holds-in-all-found-witnesses", 4, 4, "exhausted"),
+        ("JTB+NIL(p|q)", "fails-in-some-witness", 0, 4, "witness"),
+    ]
+    assert doc["queries"][1]["counterexample"] == first
+    assert doc["queries"][1]["nonvalidity"] == first
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d1ffa39ddb2331e25ea50a79f5ce2058724566b219b04d448c4b9aead25748b5"
+    )
 
 
 def test_validate_model(capsys, tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rbb
 from corpus import class_config, random_formula
 from rbb.semantics import (
     MAX_VALIDATION_WORLDS,
@@ -118,6 +119,19 @@ def test_satisfies_is_extension_membership():
 
 
 # -- hand-checked clauses ---------------------------------------------------
+
+
+def test_library_answers_a_formula_of_200_conjuncts():
+    # Depth about 600: within reach now that a node's hash is not recomputed
+    # recursively.
+    deep = rbb.parse(" & ".join(["p"] * 200), BASE)
+    model = tiny()
+    assert rbb.satisfies(model, "w1", deep, BASE)
+    assert not rbb.satisfies(model, "w0", deep, BASE)
+    assert rbb.extension(model, deep, BASE) == {"w1"}
+    found = rbb.find_model([Not(deep)], BASE, rbb.SearchBounds(max_worlds=1))
+    assert isinstance(found, rbb.Witness)
+    assert not rbb.satisfies(found.model, found.world, P, BASE)
 
 
 def test_support_is_truth_in_all_successors():

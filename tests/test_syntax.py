@@ -1,9 +1,12 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from corpus import class_config, random_formula
+from rbb.parser import parse, print_formula
 from rbb.syntax import (
     SIGMA,
     App,
@@ -196,3 +199,53 @@ def test_free_reasons_never_exceed_mentioned_symbols(f):
         elif isinstance(sub, Eq):
             mentioned |= term_symbols(sub.left) | term_symbols(sub.right)
     assert free_reasons(f) <= mentioned
+
+
+# -- cached node hashes -------------------------------------------------------
+
+
+def _declared(node):
+    """The node's constructor fields, in order: the plain dataclass value."""
+    return tuple(getattr(node, f.name) for f in dataclasses.fields(node) if f.init)
+
+
+def _nodes(node):
+    """The node and every node below it, reason terms included."""
+    yield node
+    for value in _declared(node):
+        if not isinstance(value, str):
+            yield from _nodes(value)
+
+
+@given(formulas())
+def test_cached_hash_is_the_dataclass_hash(f):
+    for node in _nodes(Supports(App(R, SIGMA), f)):
+        assert hash(node) == hash(_declared(node))
+        assert "_hash" not in repr(node)
+        assert not hasattr(node, "__dict__")
+
+
+@given(formulas())
+def test_rebuilt_formula_is_equal_with_the_same_hash(f):
+    for copy in (parse(print_formula(f), _CFG), substitute(f, "r", "r")):
+        assert copy == f and hash(copy) == hash(f)
+
+
+@given(formulas())
+def test_pickle_rebuilds_through_the_constructor(f):
+    # The cached hash of a str field is valid only in the process that
+    # computed it, so it must not travel in the pickle.
+    assert f.__reduce__() == (type(f), _declared(f))
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and hash(copy) == hash(f)
+
+
+def test_each_formula_class_defines_its_own_hash():
+    for cls in (Letter, Not, Or, Supports, Adequate, Believes, Eq, ForAll):
+        assert "__hash__" in cls.__dict__
+
+
+def test_binders_are_checked_before_hashing():
+    for var in ("sigma", "A"):
+        with pytest.raises(ValueError):
+            ForAll(var, P)
