@@ -3,21 +3,28 @@
 The candidate space is walked in a fixed order: world count ascending, then
 the point's valuation, then a sorted multiset of valuations for the other
 worlds, then accessibility relations reason by reason in lexicographic
-bitmask order, then neighborhood families.  Families are never free subsets
-of the powerset of the powerset: each candidate family is the (rb)-closure
-of a small seed set drawn from the adequacy sets and the extensions of
-belief-free goal subformulas, deduplicated after closure.
+bitmask order, then neighborhood families.  A family is an integer over
+world sets, bit x set when the world set x is a member, as in
+:class:`~rbb.semantics._Ctx`.  Families are never free subsets of the
+powerset of the powerset: each candidate family is the (rb)-closure of a
+small seed set drawn from the adequacy sets and the extensions of
+belief-free goal subformulas, deduplicated after closure.  The closure ORs
+in a precomputed superset family per believed reason's row until nothing
+changes, and a family is dropped as soon as the frame checker of
+:meth:`~rbb.semantics._Ctx.faults`, the one `validate_model` reports from,
+finds a fault at its world.
 
 Two shape restrictions keep the space tractable, each applied only when
 provably harmless for the goals at hand.  Relations collapse to a point row
 plus a diagonal unless some support assertion is nested inside another
 modality (or the theory has sigma, whose frame conditions couple all rows).
 When no belief assertion is nested inside a modality, only the point's
-family matters, and every other world keeps the minimal family its class
-permits: empty, or the closure of the sigma adequacy set.  Enlarging a
-non-point family can only create frame obligations, so the minimal choice
-is also the completeness-optimal one.  Otherwise families are enumerated at
-every world from the same seed pool.
+family matters, and every other world's menu holds just the minimal family
+its class permits: the closure of nothing, or of the sigma adequacy set
+(an empty menu, when that breaks a frame condition, ends the assignment).
+Enlarging a non-point family can only create frame obligations, so the
+minimal choice is also the completeness-optimal one.  Otherwise families
+are enumerated at every world from the same seed pool.
 
 The quick checks evaluate goals on raw masks with the evaluator the
 public functions use, :class:`~rbb.semantics._Ctx`, so the satisfaction
@@ -43,10 +50,12 @@ from .parser import print_formula
 from .semantics import (
     Model,
     _Ctx,
+    _instances,
     ensure_in_language,
     make_model,
     model_to_doc,
     satisfies,
+    superset_family,
     validate_model,
 )
 from .syntax import (
@@ -60,9 +69,7 @@ from .syntax import (
     Supports,
     formula_letters,
     free_reasons,
-    is_free_for,
     subformulas,
-    substitute,
 )
 from .theory import TheoryConfig
 
@@ -161,65 +168,16 @@ def _conjuncts(formula: Formula) -> Iterator[Formula]:
         yield formula
 
 
-def _supersets(base: int, full: int) -> Iterator[int]:
-    free = full & ~base
-    sub = free
+def _rb_closure(family: int, i: int, ctx: _Ctx, up: list[int]) -> int:
+    """The least family above ``family`` that meets (rb) at world i."""
     while True:
-        yield base | sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & free
-
-
-def _rb_closure(
-    seeds: Iterable[int],
-    rows_here: dict[str, int],
-    diag: dict[str, int],
-    full: int,
-    names: tuple[str, ...],
-) -> frozenset[int]:
-    family = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for name in names:
-            if diag[name] not in family:
-                continue
-            for mask in _supersets(rows_here[name], full):
-                if mask not in family:
-                    family.add(mask)
-                    changed = True
-    return frozenset(family)
-
-
-def _violates_d(family: frozenset[int], full: int) -> bool:
-    return any(full ^ mask in family for mask in family)
-
-
-def _sigma_local_ok(
-    cfg: TheoryConfig,
-    family: frozenset[int],
-    rows_here: dict[str, int],
-    diag: dict[str, int],
-    here_bit: int,
-) -> bool:
-    """Point-free reading of (mb), (ma), (mr) and, for sigma+, (mt)."""
-    srow = rows_here[SIGMA_NAME]
-    if diag[SIGMA_NAME] not in family:
-        return False
-    sigma_reflexive = bool(srow & here_bit)
-    for name in cfg.reasons:
-        if name == SIGMA_NAME or diag[name] not in family:
-            continue
-        if sigma_reflexive and not rows_here[name] & here_bit:
-            return False
-        if srow & ~rows_here[name]:
-            return False
-    if cfg.sigma_plus:
-        for mask in family:
-            if srow & ~mask:
-                return False
-    return True
+        grown = family
+        for name in ctx.cfg.reasons:
+            if grown >> ctx.diag[name] & 1:
+                grown |= up[ctx.rows[name][i]]
+        if grown == family:
+            return family
+        family = grown
 
 
 def _active_alphabets(
@@ -274,7 +232,9 @@ def _reason_options(n: int, restricted: bool) -> list[tuple[list[int], int]]:
 
 
 def _believed_operands(
-    goal_list: tuple[Formula, ...], cfg: TheoryConfig
+    goal_list: tuple[Formula, ...],
+    cfg: TheoryConfig,
+    instances: dict[ForAll, tuple[Formula, ...]],
 ) -> tuple[Formula, ...]:
     """The formulas whose extensions seed the neighborhood families.
 
@@ -282,33 +242,30 @@ def _believed_operands(
     Believes operand in the goals, so those extensions, the adequacy sets,
     and the forced sigma seed are the one complete pool: any valid witness
     family can be cut down to its intersection with this pool plus closure
-    without disturbing a goal or a frame property.  Operands under a
-    quantifier contribute one extension per capture-free instantiation.
+    without disturbing a goal or a frame property.  Quantifiers contribute
+    the operands of the instances the evaluator builds, drawn from (and
+    left in) the shared ``instances`` memo.
     Operands that themselves contain Believes are skipped; their extensions
     cannot be fixed ahead of the family assignment, and families outside
     the pool are already outside the advertised search space.
     """
-    declared = set(cfg.reasons)
     operands: list[Formula] = []
+
+    def walk(f: Formula) -> None:
+        if isinstance(f, ForAll):
+            for inst in _instances(f, cfg, instances):
+                walk(inst)
+            return
+        if isinstance(f, Believes) and not _mentions(f.sub, (Believes,)):
+            operands.append(f.sub)
+        if isinstance(f, Or):
+            walk(f.left)
+            walk(f.right)
+        elif isinstance(f, (Not, Supports, Believes)):
+            walk(f.sub)
+
     for goal in goal_list:
-        for sub in subformulas(goal):
-            if not isinstance(sub, Believes) or _mentions(sub.sub, (Believes,)):
-                continue
-            body = sub.sub
-            free_vars = sorted(free_reasons(body) - declared)
-            if not free_vars:
-                operands.append(body)
-                continue
-            for combo in itertools.product(cfg.reasons, repeat=len(free_vars)):
-                inst = body
-                blocked = False
-                for var, name in zip(free_vars, combo):
-                    if not is_free_for(name, var, inst):
-                        blocked = True
-                        break
-                    inst = substitute(inst, var, name)
-                if not blocked and not free_reasons(inst) - declared:
-                    operands.append(inst)
+        walk(goal)
     return tuple(dict.fromkeys(operands))
 
 
@@ -325,35 +282,29 @@ def _seed_pool(
 
 
 def _family_menu(
-    cfg: TheoryConfig,
     bounds: SearchBounds,
     pool: list[int],
-    rows_here: dict[str, int],
-    diag: dict[str, int],
-    full: int,
-    here_bit: int,
-    forced: tuple[int, ...],
+    ctx: _Ctx,
+    up: list[int],
+    i: int,
+    world: str,
+    forced: int,
     prune: bool,
-) -> list[frozenset[int]]:
-    """Deduplicated seed closures for one world, smallest seed sets first."""
-    names = tuple(cfg.reasons)
-    menu: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    cap = min(bounds.max_seeds, len(pool))
-    for size in range(cap + 1):
-        for picks in itertools.combinations(range(len(pool)), size):
-            seeds = tuple(pool[i] for i in picks) + forced
-            family = _rb_closure(seeds, rows_here, diag, full, names)
+) -> list[int]:
+    """Deduplicated seed closures for world i, smallest seed sets first."""
+    menu: list[int] = []
+    seen: set[int] = set()
+    for size in range(min(bounds.max_seeds, len(pool)) + 1):
+        for picks in itertools.combinations(pool, size):
+            family = forced
+            for x in picks:
+                family |= 1 << x
+            family = _rb_closure(family, i, ctx, up)
             if family in seen:
                 continue
             seen.add(family)
-            if prune:
-                if _violates_d(family, full):
-                    continue
-                if cfg.sigma and not _sigma_local_ok(
-                    cfg, family, rows_here, diag, here_bit
-                ):
-                    continue
+            if prune and next(ctx.faults(i, family, up, world), None) is not None:
+                continue
             menu.append(family)
     return menu
 
@@ -380,8 +331,8 @@ def iter_candidates(
         split.update(_conjuncts(goal))
     goal_list = tuple(sorted(split, key=print_formula))
     active_reasons, active_letters = _active_alphabets(goal_list, cfg, bounds)
-    operands = _believed_operands(goal_list, cfg)
     instances: dict[ForAll, tuple[Formula, ...]] = {}
+    operands = _believed_operands(goal_list, cfg, instances)
 
     restricted = not cfg.sigma and not any(_nests(g, Supports) for g in goal_list)
     point_ready = not any(_nests(g, Believes) for g in goal_list)
@@ -423,7 +374,8 @@ def iter_candidates(
         state["worlds"] = n
         world_names = tuple(f"w{i}" for i in range(n))
         base_options = _reason_options(n, restricted)
-        unfixed = (None,) * n
+        up = [superset_family(row, n) for row in range(1 << n)]
+        unfixed = (0,) * n
         letter_space = range(1 << len(active_letters))
         for point_val in letter_space:
             for rest in itertools.combinations_with_replacement(letter_space, n - 1):
@@ -481,6 +433,7 @@ def iter_candidates(
                         active_reasons,
                         operands,
                         ctx,
+                        up,
                         prune,
                         point_ready,
                         tick,
@@ -498,60 +451,35 @@ def _family_stage(
     active: tuple[str, ...],
     operands: tuple[Formula, ...],
     ctx: _Ctx,
+    up: list[int],
     prune: bool,
     point_ready: bool,
     tick: Callable[[], None],
 ) -> Iterator[tuple[Model, str]]:
     n = len(world_names)
-    full = (1 << n) - 1
-    rows_at = [{name: rows[name][i] for name in cfg.reasons} for i in range(n)]
-    forced: tuple[int, ...] = (diag[SIGMA_NAME],) if cfg.sigma else ()
+    forced = 1 << diag[SIGMA_NAME] if cfg.sigma else 0
     pool = _seed_pool(active, diag, operands, ctx)
-
-    if point_ready:
-        if cfg.sigma:
-            rests: list[frozenset[int]] = []
-            for i in range(1, n):
-                minimal = _rb_closure(
-                    forced, rows_at[i], diag, full, tuple(cfg.reasons)
-                )
-                if prune and (
-                    _violates_d(minimal, full)
-                    or not _sigma_local_ok(cfg, minimal, rows_at[i], diag, 1 << i)
-                ):
-                    return
-                rests.append(minimal)
-        else:
-            rests = [frozenset() for _ in range(n - 1)]
-        for family in _family_menu(
-            cfg, bounds, pool, rows_at[0], diag, full, 1, forced, prune
-        ):
-            tick()
-            if prune:
-                staged = _Ctx(
-                    cfg, n, letters, rows, diag, (family,) + (None,) * (n - 1),
-                    ctx.instances,
-                )
-                if not all(staged.extension(g) & 1 for g in goal_list):
-                    continue
-            yield _assemble(cfg, world_names, letters, rows, [family, *rests]), (
-                world_names[0]
-            )
-        return
-
-    menus = [
-        _family_menu(
-            cfg, bounds, pool, rows_at[i], diag, full, 1 << i, forced, prune
+    # Without nested belief only the point's family matters, so every other
+    # world gets the minimal family, the closure of the forced seed alone.
+    rest_pool = [] if point_ready else pool
+    menus = []
+    for i in range(1, n):
+        menu = _family_menu(
+            bounds, rest_pool, ctx, up, i, world_names[i], forced, prune
         )
-        for i in range(n)
-    ]
+        if not menu:
+            return
+        menus.append(menu)
+    menus.insert(
+        0, _family_menu(bounds, pool, ctx, up, 0, world_names[0], forced, prune)
+    )
     for combo in itertools.product(*menus):
         tick()
         if prune:
             staged = _Ctx(cfg, n, letters, rows, diag, combo, ctx.instances)
             if not all(staged.extension(g) & 1 for g in goal_list):
                 continue
-        yield _assemble(cfg, world_names, letters, rows, list(combo)), world_names[0]
+        yield _assemble(cfg, world_names, letters, rows, combo), world_names[0]
 
 
 def _assemble(
@@ -559,7 +487,7 @@ def _assemble(
     world_names: tuple[str, ...],
     letters: dict[str, int],
     rows: dict[str, list[int]],
-    families: list[frozenset[int]],
+    families: tuple[int, ...],
 ) -> Model:
     n = len(world_names)
     access: dict[str, set[tuple[str, str]]] = {name: set() for name in cfg.reasons}
@@ -571,7 +499,8 @@ def _assemble(
     neighborhoods = {
         world_names[i]: [
             [world_names[j] for j in range(n) if mask >> j & 1]
-            for mask in sorted(families[i])
+            for mask in range(1 << n)
+            if families[i] >> mask & 1
         ]
         for i in range(n)
     }

@@ -12,23 +12,29 @@ member of N(w); term equations compare symbols; a universal quantifier is
 evaluated substitutionally over the declared reason alphabet, skipping
 substituents that are not free for the variable.
 
-One evaluator, :class:`_Ctx`, states these clauses over an interned
-representation (worlds as bit positions, world sets as integers) with an
-extension memo per context.  The public functions build a context from a
-Model; the bounded search builds its contexts from raw masks, leaves the
-families of worlds it has not fixed yet as None (belief is false there),
-and shares one memo of quantifier instances across a whole search.  The
-App variant gets no semantics here, matching its proof-theoretic-only
-status.
+One class, :class:`_Ctx`, states these clauses over an interned
+representation: worlds are bit positions, a world set is an integer, and a
+neighborhood family is an integer too, with bit x set when the world set x
+belongs to it.  The same class states the frame conditions of each theory
+class once, as a per-world fault generator that `validate_model` reports
+from and the bounded search prunes with.  The bounded search builds its
+contexts from raw masks, gives the worlds it has not fixed yet the empty
+family (belief is false there), and shares one memo of quantifier
+instances across a whole search.  The public functions build a context
+from a Model that keeps each family as a set of world-set masks, since an
+integer over world sets has 2^n bits; `validate_model`, which caps the
+world count, turns them into integers for the checker.  The App variant
+gets no semantics here, matching its proof-theoretic-only status.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .syntax import (
+    SIGMA_NAME,
     Adequate,
     App,
     Believes,
@@ -200,13 +206,66 @@ def ensure_in_language(formula: Formula, cfg: TheoryConfig) -> None:
         raise UnknownSymbol(f"undeclared reason {sorted(bad_reason)[0]!r}")
 
 
-class _Ctx:
-    """Bitmask evaluator: world i lives at bit i, a world set is an integer.
+def superset_family(row: int, n: int) -> int:
+    """The family, over n worlds, of every world set that includes ``row``."""
+    family = 1
+    for j in range(n):
+        if row >> j & 1:
+            family <<= 1 << j
+        else:
+            family |= family << (1 << j)
+    return family
 
-    A ``families`` entry may be None for a world whose neighborhood is not
-    fixed yet.  ``instances`` maps each quantifier to its capture-free
-    instances over the declared reasons; it may be shared between contexts
-    over the same theory configuration.
+
+def _family_of(sets: Iterable[int], n: int) -> int:
+    """The family, over n worlds, whose members are the world sets ``sets``."""
+    bits = bytearray(((1 << n) + 7) >> 3)
+    for x in sets:
+        bits[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(bits, "little")
+
+
+#: Every byte value with its eight bits in reverse order.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mirror(family: int, n: int) -> int:
+    """``family`` with each world set moved to its complement over n worlds."""
+    size = ((1 << n) + 7) >> 3
+    data = family.to_bytes(size, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(data, "big") >> (8 * size - (1 << n))
+
+
+def _members(family: int) -> Iterator[int]:
+    """The world sets in ``family``, ascending."""
+    while family:
+        low = family & -family
+        yield low.bit_length() - 1
+        family ^= low
+
+
+def _instances(
+    formula: ForAll, cfg: TheoryConfig, memo: dict[ForAll, tuple[Formula, ...]]
+) -> tuple[Formula, ...]:
+    """The capture-free instances of ``formula`` over the declared reasons."""
+    insts = memo.get(formula)
+    if insts is None:
+        insts = memo[formula] = tuple(
+            substitute(formula.sub, formula.var, name)
+            for name in cfg.reasons
+            if is_free_for(name, formula.var, formula.sub)
+        )
+    return insts
+
+
+class _Ctx:
+    """Bitmask evaluator and frame checker over the worlds 0..n-1.
+
+    World i lives at bit i, a world set is an integer, and ``families[i]``
+    is N(w_i) as an integer over world sets: bit x is set when the world
+    set x is a member.  A world whose family is not fixed yet has 0.
+    ``instances`` memoises the quantifier instances (see `_instances`); it
+    may be shared between contexts over the same theory configuration.
     """
 
     __slots__ = ("cfg", "n", "full", "letters", "rows", "diag", "families",
@@ -219,7 +278,7 @@ class _Ctx:
         letters: Mapping[str, int],
         rows: Mapping[str, list[int]],
         diag: Mapping[str, int],
-        families: Sequence[frozenset[int] | None],
+        families: Sequence[int] | Sequence[frozenset[int]],
         instances: dict[ForAll, tuple[Formula, ...]],
     ) -> None:
         self.cfg = cfg
@@ -260,7 +319,72 @@ class _Ctx:
                     mask |= 1 << index[member]
                 family.add(mask)
             families.append(frozenset(family))
-        return cls(cfg, n, letters, rows, diag, families, {})
+        return _ModelCtx(cfg, n, letters, rows, diag, families, {})
+
+    def believers(self, x: int) -> int:
+        """The worlds whose family has the world set x."""
+        out = 0
+        for i, family in enumerate(self.families):
+            if family >> x & 1:
+                out |= 1 << i
+        return out
+
+    def faults(
+        self, i: int, family: int, up: Mapping[int, int], world: str
+    ) -> Iterator[tuple[str, tuple[str, ...], tuple[int, ...], str]]:
+        """Each frame condition the class breaks at world i when N(w) = family.
+
+        ``up[row]`` is the family of the supersets of ``row`` (see
+        :func:`superset_family`), for every row of world i.  Yields
+        ``(prop, reasons, world sets, detail)`` in report order: (pr), (d),
+        (rb), then for sigma (mb), (ma) and (mr) reason by reason, and (mt)
+        for sigma+.  ``world`` names world i in details.
+        """
+        cfg, rows, diag, full, here = self.cfg, self.rows, self.diag, self.full, 1 << i
+        if cfg.allow_overlap:
+            for x in sorted(set(cfg.letters) & set(cfg.reasons)):
+                true = bool(self.letters.get(x, 0) & here)
+                reflexive = bool(rows[x][i] & here)
+                if true != reflexive:
+                    yield "pr", (x,), (), (
+                        f"{x!r} is {'' if true else 'not '}true at {world!r} "
+                        f"but {world!r} is {'' if reflexive else 'not '}in {x}({world})"
+                    )
+        for x in _members(family & _mirror(family, self.n)):
+            yield "d", (), (x, full ^ x), (
+                "a believed set and its complement are both in N"
+            )
+        believed = [r for r in sorted(cfg.reasons) if family >> diag[r] & 1]
+        for reason in believed:
+            row = rows[reason][i]
+            # r° is believed, so everything r(w) settles must be believed.
+            missing = up[row] & ~family
+            if missing:
+                yield "rb", (reason,), (row, next(_members(missing))), (
+                    "r(w) is inside X, r-degree is believed, but X is not in N(w)"
+                )
+        if not cfg.sigma:
+            return
+        srow = rows[SIGMA_NAME][i]
+        if not family >> diag[SIGMA_NAME] & 1:
+            yield "mb", (SIGMA_NAME,), (diag[SIGMA_NAME],), ""
+        for reason in believed:
+            if reason == SIGMA_NAME:
+                continue
+            row = rows[reason][i]
+            if srow & here and not row & here:
+                yield "ma", (reason,), (), (
+                    "sigma is adequate and r-degree believed, but w is not in r(w)"
+                )
+            # The least X that covers r(w) is r(w) itself.
+            if srow & ~row:
+                yield "mr", (reason,), (row, srow), "X covers r(w) but not sigma(w)"
+        if cfg.sigma_plus:
+            uncovered = family & ~up[srow]
+            if uncovered:
+                yield "mt", (SIGMA_NAME,), (next(_members(uncovered)), srow), (
+                    "a believed set does not cover sigma(w)"
+                )
 
     def extension(self, formula: Formula) -> int:
         cached = self.memo.get(formula)
@@ -290,29 +414,36 @@ class _Ctx:
             except KeyError:
                 raise UnknownReason(name) from None
         elif isinstance(formula, Believes):
-            inside = self.extension(formula.sub)
-            out = 0
-            for i, family in enumerate(self.families):
-                if family is not None and inside in family:
-                    out |= 1 << i
+            out = self.believers(self.extension(formula.sub))
         elif isinstance(formula, Eq):
             same = term_name(formula.left) == term_name(formula.right)
             out = self.full if same else 0
         else:
             assert isinstance(formula, ForAll)
-            insts = self.instances.get(formula)
-            if insts is None:
-                insts = self.instances[formula] = tuple(
-                    substitute(formula.sub, formula.var, name)
-                    for name in self.cfg.reasons
-                    if is_free_for(name, formula.var, formula.sub)
-                )
             out = self.full
-            for inst in insts:
+            for inst in _instances(formula, self.cfg, self.instances):
                 out &= self.extension(inst)
                 if out == 0:
                     break
         self.memo[formula] = out
+        return out
+
+
+class _ModelCtx(_Ctx):
+    """The context of a public Model, of any size.
+
+    Its families are frozensets of world-set masks, so its memory follows
+    the number of sets in the model rather than 2^n; `validate_model`
+    turns them into integers under its world cap.
+    """
+
+    __slots__ = ()
+
+    def believers(self, x: int) -> int:
+        out = 0
+        for i, family in enumerate(self.families):
+            if x in family:
+                out |= 1 << i
         return out
 
 
@@ -369,8 +500,10 @@ def validate_model(model: Model, cfg: TheoryConfig) -> PropertyReport:
 
     Properties over arbitrary subsets X of W are checked exhaustively, so
     models beyond ``MAX_VALIDATION_WORLDS`` worlds are refused with a
-    ValueError rather than silently churning.  Violations come back as data;
-    an empty report means the model belongs to the class.
+    ValueError rather than silently churning.  Violations come back as data,
+    world by world in the order of :meth:`_Ctx.faults`; where a property
+    names the first offending set, that is the least one as a bitmask over
+    the world order.  An empty report means the model belongs to the class.
     """
     _require_entries(model, cfg)
     n = len(model.worlds)
@@ -380,104 +513,18 @@ def validate_model(model: Model, cfg: TheoryConfig) -> PropertyReport:
             f"{MAX_VALIDATION_WORLDS} worlds; got {n}"
         )
     ctx = _Ctx.of_model(model, cfg)
-    sigma_name = "sigma"
-    out: list[Violation] = []
+    up = {row: superset_family(row, n) for rows in ctx.rows.values() for row in rows}
 
     def named(mask: int) -> frozenset[str]:
         return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
 
-    overlap = sorted(set(cfg.letters) & set(cfg.reasons))
-    for i, w in enumerate(model.worlds):
-        family = ctx.families[i]
-        for x in overlap:
-            in_val = x in model.valuation[w]
-            reflexive = bool(ctx.rows[x][i] >> i & 1)
-            if in_val != reflexive:
-                out.append(
-                    Violation(
-                        "pr",
-                        w,
-                        (x,),
-                        detail=f"{x!r} is {'' if in_val else 'not '}true at {w!r} "
-                        f"but {w!r} is {'' if reflexive else 'not '}in {x}({w})",
-                    )
-                )
-        for x_mask in family:
-            if (ctx.full ^ x_mask) in family:
-                out.append(
-                    Violation(
-                        "d",
-                        w,
-                        sets=(named(x_mask), named(ctx.full ^ x_mask)),
-                        detail="a believed set and its complement are both in N",
-                    )
-                )
-        for reason in sorted(cfg.reasons):
-            row = ctx.rows[reason][i]
-            if ctx.diag[reason] not in family:
-                continue
-            # r° is believed, so everything r(w) settles must be believed.
-            for x_mask in range(1 << n):
-                if row & ~x_mask == 0 and x_mask not in family:
-                    out.append(
-                        Violation(
-                            "rb",
-                            w,
-                            (reason,),
-                            sets=(named(row), named(x_mask)),
-                            detail="r(w) is inside X, r-degree is believed, "
-                            "but X is not in N(w)",
-                        )
-                    )
-                    break
-        if cfg.sigma:
-            srow = ctx.rows[sigma_name][i]
-            if ctx.diag[sigma_name] not in family:
-                out.append(
-                    Violation("mb", w, (sigma_name,), sets=(named(ctx.diag[sigma_name]),))
-                )
-            sigma_reflexive = bool(srow >> i & 1)
-            for reason in sorted(cfg.reasons):
-                if reason == sigma_name:
-                    continue
-                row = ctx.rows[reason][i]
-                believed = ctx.diag[reason] in family
-                if sigma_reflexive and believed and not row >> i & 1:
-                    out.append(
-                        Violation(
-                            "ma",
-                            w,
-                            (reason,),
-                            detail="sigma is adequate and r-degree believed, "
-                            "but w is not in r(w)",
-                        )
-                    )
-                if believed:
-                    for x_mask in range(1 << n):
-                        if row & ~x_mask == 0 and srow & ~x_mask != 0:
-                            out.append(
-                                Violation(
-                                    "mr",
-                                    w,
-                                    (reason,),
-                                    sets=(named(x_mask), named(srow)),
-                                    detail="X covers r(w) but not sigma(w)",
-                                )
-                            )
-                            break
-            if cfg.sigma_plus:
-                for x_mask in family:
-                    if srow & ~x_mask != 0:
-                        out.append(
-                            Violation(
-                                "mt",
-                                w,
-                                (sigma_name,),
-                                sets=(named(x_mask), named(srow)),
-                                detail="a believed set does not cover sigma(w)",
-                            )
-                        )
-                        break
+    out = [
+        Violation(prop, w, reasons, tuple(named(x) for x in sets), detail)
+        for i, w in enumerate(model.worlds)
+        for prop, reasons, sets, detail in ctx.faults(
+            i, _family_of(ctx.families[i], n), up, w
+        )
+    ]
     return PropertyReport(tuple(out))
 
 

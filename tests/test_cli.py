@@ -1,14 +1,20 @@
 """Command-line interface: exit codes, output formats, file round trips.
 
-Everything here drives `rbb.cli.main` in process; the one environment
+Everything here drives `rbb.cli.main` in process, except one test that
+needs fresh interpreters under different hash seeds; the one environment
 variable the CLI reads is injected with monkeypatch.
 """
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rbb
 from rbb.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -217,6 +223,39 @@ def test_validate_model(capsys, tmp_path):
     assert code == EXIT_REJECTED
     doc = json.loads(out)
     assert doc["ok"] is False and doc["violations"][0]["prop"] == "d"
+
+
+def test_validate_model_report_is_independent_of_the_hash_seed(tmp_path):
+    # Four worlds, so the masks of the believed sets run past 7 and a set
+    # of them no longer iterates in ascending order: the (d) pairs must
+    # still come in ascending order of the first set's mask.
+    doc = {
+        "worlds": ["w0", "w1", "w2", "w3"],
+        "access": {"r": [], "s": []},
+        "neighborhoods": {
+            "w0": [["w0"], ["w1", "w2", "w3"], ["w0", "w3"], ["w1", "w2"]]
+        },
+        "valuation": {},
+    }
+    path = write_json(tmp_path, "d4.json", doc)
+    src = str(pathlib.Path(rbb.__file__).resolve().parents[1])
+    script = "import sys; from rbb.cli import main; sys.exit(main(sys.argv[1:]))"
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "validate-model", "--format", "json", path],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == EXIT_REJECTED, proc.stderr
+        report = json.loads(proc.stdout)
+        assert [(v["prop"], v["world"], v["sets"]) for v in report["violations"]] == [
+            ("d", "w0", [["w0"], ["w1", "w2", "w3"]]),
+            ("d", "w0", [["w1", "w2"], ["w0", "w3"]]),
+            ("d", "w0", [["w0", "w3"], ["w1", "w2"]]),
+            ("d", "w0", [["w1", "w2", "w3"], ["w0"]]),
+        ], seed
 
 
 def test_find_model_round_trip(capsys, tmp_path):

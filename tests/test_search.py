@@ -8,6 +8,7 @@ import pytest
 import corpus
 from rbb.parser import parse
 from rbb.search import (
+    _believed_operands,
     BudgetExceeded,
     Exhausted,
     SearchBounds,
@@ -21,6 +22,16 @@ from rbb.search import (
     outcome_to_doc,
 )
 from rbb.semantics import satisfies, validate_model
+from rbb.syntax import (
+    Believes,
+    ForAll,
+    Not,
+    Or,
+    Supports,
+    is_free_for,
+    subformulas,
+    substitute,
+)
 from rbb.theory import TheoryConfig
 
 RBB = TheoryConfig.from_name("RBB", reasons=("r",), letters=("p",))
@@ -166,6 +177,53 @@ def test_quantifier_outcomes():
     assert isinstance(out, Witness)
     got = find_model([parse("(E u. u:p) & ~B p", QRBB)], QRBB, W2)
     assert isinstance(got, Witness)
+
+
+@pytest.mark.parametrize("var", ["t", "r", "s"])
+def test_binder_named_like_a_declared_reason_seeds_every_instance(var):
+    # B must hold of both r:p and s:p; with only one of them in the seed
+    # pool no family in the searched space could hold the other.
+    texts = (f"A {var}. B ({var}:p)", "~B r", "~B s", "r:p", "~s:p")
+    goals = [parse(t, QRBB) for t in texts]
+    out = find_model(goals, QRBB, W3)
+    assert isinstance(out, Witness)
+    assert all(satisfies(out.model, out.world, g, QRBB) for g in goals)
+
+
+def _instance_operands(f, cfg):
+    """Belief-free Believes operands of every instance the evaluator visits."""
+    if isinstance(f, ForAll):
+        for name in cfg.reasons:
+            if is_free_for(name, f.var, f.sub):
+                yield from _instance_operands(substitute(f.sub, f.var, name), cfg)
+        return
+    if isinstance(f, Believes) and not any(
+        isinstance(g, Believes) for g in subformulas(f.sub)
+    ):
+        yield f.sub
+    if isinstance(f, Or):
+        yield from _instance_operands(f.left, cfg)
+        yield from _instance_operands(f.right, cfg)
+    elif isinstance(f, (Not, Supports, Believes)):
+        yield from _instance_operands(f.sub, cfg)
+
+
+def test_seed_operands_are_the_quantifier_instances():
+    cfg = TheoryConfig.from_name("QRBB", ("r", "s", "u"), ("p", "q"))
+    texts = (
+        "A r. B (r:p)",
+        "A t. B (t:p)",
+        "A s. A r. B (r:p | s:q)",
+        "A r. A s. B (r:p | s:q)",
+        "A t. (B (t:p) | A t. B (t:q))",
+        "A s. (B (s:q) & A r. ~B (r:p | s:p))",
+    )
+    # Exactly the operands of the instances: an inner binder that reuses a
+    # declared name blocks substituting that name for an outer variable.
+    for text in texts:
+        goal = parse(text, cfg)
+        wanted = set(_instance_operands(goal, cfg))
+        assert wanted and set(_believed_operands((goal,), cfg, {})) == wanted, text
 
 
 def test_budget_signal_carries_progress():

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from corpus import class_config, random_formula
 from rbb.semantics import (
     MAX_VALIDATION_WORLDS,
     AppSemanticsUndefined,
+    Model,
     UnknownReason,
     UnknownSymbol,
     UnknownWorld,
@@ -155,6 +158,16 @@ def test_belief_is_family_membership():
     assert not satisfies(m, "w1", Believes(P), BASE)
     # the whole world set is in N(w0)
     assert satisfies(m, "w0", Believes(Or(P, Not(P))), BASE)
+
+
+def test_belief_on_a_model_of_64_worlds():
+    # Evaluation has no world cap: the family {{w63}} must cost one set,
+    # not an integer of 2^63 bits over all world sets.
+    worlds = [f"w{i}" for i in range(64)]
+    m = make_model(worlds, {"r": [], "s": []}, {"w0": [["w63"]]}, {"w63": ["p"]})
+    assert satisfies(m, "w0", Believes(P), BASE)
+    assert not satisfies(m, "w1", Believes(P), BASE)
+    assert extension(m, Believes(Not(Not(P))), BASE) == {"w0"}
 
 
 def test_quantifier_ranges_over_declared_reasons():
@@ -353,6 +366,137 @@ def test_mt_violation_detected():
     )
     report = validate_model(m, plus)
     assert any(v.prop == "mt" for v in report.violations)
+
+
+def frame_faults(model, cfg):
+    """Direct transcription of the frame conditions, sets not bitmasks.
+
+    One ``(prop, world, reasons)`` entry per violation `validate_model`
+    reports: (d) once per ordered pair of complementary believed sets, the
+    subset conditions (rb), (mr) and (mt) at most once per world and reason.
+    """
+    out = []
+    everything = frozenset(model.worlds)
+    subsets = [
+        frozenset(c)
+        for k in range(len(model.worlds) + 1)
+        for c in itertools.combinations(model.worlds, k)
+    ]
+    degree = {r: reflexive_worlds(model, r) for r in cfg.reasons}
+    for w in model.worlds:
+        family = model.neighborhoods[w]
+        settles = {r: successors(model, r, w) for r in cfg.reasons}
+        for x in sorted(set(cfg.letters) & set(cfg.reasons)):
+            if (x in model.valuation[w]) != (w in settles[x]):
+                out.append(("pr", w, (x,)))
+        for x in family:
+            if everything - x in family:
+                out.append(("d", w, ()))
+        believed = [r for r in sorted(cfg.reasons) if degree[r] in family]
+        for r in believed:
+            if any(settles[r] <= x and x not in family for x in subsets):
+                out.append(("rb", w, (r,)))
+        if not cfg.sigma:
+            continue
+        master = settles["sigma"]
+        if "sigma" not in believed:
+            out.append(("mb", w, ("sigma",)))
+        for r in believed:
+            if r == "sigma":
+                continue
+            if w in master and w not in settles[r]:
+                out.append(("ma", w, (r,)))
+            if any(settles[r] <= x and not master <= x for x in subsets):
+                out.append(("mr", w, (r,)))
+        if cfg.sigma_plus and any(not master <= x for x in family):
+            out.append(("mt", w, ("sigma",)))
+    return out
+
+
+def test_validation_agrees_with_the_set_based_frame_oracle():
+    # Every model with reasons r and sigma on at most two worlds (up to the
+    # w0/w1 relabeling), judged under RBBs and RBBs+.  The counts are pinned
+    # so that a shrinking space cannot pass as agreement.
+    sigma = TheoryConfig.from_name("RBBs", ("r",), ("p",))
+    plus = TheoryConfig.from_name("RBBs+", ("r",), ("p",))
+
+    def relabel(k, image):
+        # Bit j of k moves to bit image[j].
+        return sum(1 << image[j] for j in range(len(image)) if k >> j & 1)
+
+    validated = collections.Counter()
+    canonical = 0
+    for n in (1, 2):
+        worlds = tuple(f"w{i}" for i in range(n))
+        pairs = list(itertools.product(range(n), repeat=2))
+        sets = range(1 << n)
+        relations = [
+            frozenset(
+                (worlds[a], worlds[b]) for j, (a, b) in enumerate(pairs) if k >> j & 1
+            )
+            for k in range(1 << len(pairs))
+        ]
+        families = [
+            frozenset(
+                frozenset(w for j, w in enumerate(worlds) if x >> j & 1)
+                for x in sets
+                if k >> x & 1
+            )
+            for k in range(1 << len(sets))
+        ]
+        # The swap of w0 and w1 (the identity on one world), on relation
+        # and family indices.
+        swap_pairs = [pairs.index((n - 1 - a, n - 1 - b)) for a, b in pairs]
+        swap_sets = [relabel(x, range(n - 1, -1, -1)) for x in sets]
+        swap_rel = [relabel(k, swap_pairs) for k in range(len(relations))]
+        swap_fam = [relabel(k, swap_sets) for k in range(len(families))]
+        space = itertools.product(
+            range(len(relations)), range(len(relations)),
+            *[range(len(families))] * n,
+        )
+        for key in space:
+            r, s, *fams = key
+            mirror = (swap_rel[r], swap_rel[s], *(swap_fam[f] for f in fams[::-1]))
+            if mirror < key:
+                continue
+            canonical += 1
+            model = Model(
+                worlds,
+                {"r": relations[r], "sigma": relations[s]},
+                {w: families[f] for w, f in zip(worlds, fams)},
+                {w: frozenset() for w in worlds},
+            )
+            for cfg in (sigma, plus):
+                report = validate_model(model, cfg)
+                got = collections.Counter(
+                    (v.prop, v.world, v.reasons) for v in report.violations
+                )
+                assert got == collections.Counter(frame_faults(model, cfg)), (
+                    model, cfg.name
+                )
+                validated[cfg.name] += report.ok
+    assert canonical == 16 + 32896
+    assert validated == {"RBBs": 117, "RBBs+": 46}
+
+
+def test_validation_reports_letter_reason_mismatch_as_pr():
+    shared = TheoryConfig.from_name("RBB", ("r", "p"), ("p",), allow_overlap=True)
+    m = make_model(
+        ["w0", "w1"],
+        {"r": [], "p": [("w0", "w0")]},
+        valuation={"w1": ["p"]},
+    )
+    report = validate_model(m, shared)
+    assert [(v.prop, v.world, v.reasons) for v in report.violations] == [
+        ("pr", "w0", ("p",)),
+        ("pr", "w1", ("p",)),
+    ]
+    assert report.violations[0].detail == (
+        "'p' is not true at 'w0' but 'w0' is in p(w0)"
+    )
+    assert collections.Counter(frame_faults(m, shared)) == collections.Counter(
+        (v.prop, v.world, v.reasons) for v in report.violations
+    )
 
 
 def test_validation_caps_world_count():
