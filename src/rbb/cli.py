@@ -8,7 +8,9 @@ exit codes are part of the contract and scripts may rely on them:
     1  rejected: a proof failed, a model violated its frame properties,
        or a library fixture did not check
     2  malformed input: unparsable formula, bad file, unknown name,
-       or a formula nested too deeply to traverse
+       or a formula nested too deeply to traverse; also any other
+       exception, reported as "error: internal error: <Type>: <message>",
+       so that an uncaught exception never exits 1
     3  bounded search exhausted without a witness
     4  search budget exceeded
 
@@ -408,6 +410,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

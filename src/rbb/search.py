@@ -31,6 +31,19 @@ public functions use, :class:`~rbb.semantics._Ctx`, so the satisfaction
 clauses are written down once.  Goal analysis happens once per search: the
 Believes operands that seed the families are collected up front, and one
 memo of quantifier instances serves every context the search builds.
+
+Each goal conjunct is decided at the first stage that fixes its value at
+the point:
+
+* valuation: conjuncts without Supports, adequacy atoms or Believes;
+* relations: Believes-free conjuncts, each filtering its reason's options
+  before the cross-reason product when it has one free reason and no
+  quantifier, and checked on the whole assignment otherwise;
+* the point's family menu: top-level ``B phi`` and ``~B phi`` with a
+  Believes-free phi, whose extension the relations already fix, so they
+  keep just the point families that hold ext(phi) or lack it;
+* staged: every conjunct, on each combination of families.
+
 A candidate that survives the quick checks is rebuilt as a public
 :class:`~rbb.semantics.Model` and re-examined with `validate_model` and
 `satisfies`, so the enumerator's bitmask shortcuts are never the final
@@ -290,8 +303,14 @@ def _family_menu(
     world: str,
     forced: int,
     prune: bool,
+    need: int,
+    avoid: int,
 ) -> list[int]:
-    """Deduplicated seed closures for world i, smallest seed sets first."""
+    """Deduplicated seed closures for world i, smallest seed sets first.
+
+    Pruning keeps only the families with every world set of ``need`` and
+    none of ``avoid`` as members.
+    """
     menu: list[int] = []
     seen: set[int] = set()
     for size in range(min(bounds.max_seeds, len(pool)) + 1):
@@ -303,7 +322,11 @@ def _family_menu(
             if family in seen:
                 continue
             seen.add(family)
-            if prune and next(ctx.faults(i, family, up, world), None) is not None:
+            if prune and (
+                family & need != need
+                or family & avoid
+                or next(ctx.faults(i, family, up, world), None) is not None
+            ):
                 continue
             menu.append(family)
     return menu
@@ -336,6 +359,13 @@ def iter_candidates(
 
     restricted = not cfg.sigma and not any(_nests(g, Supports) for g in goal_list)
     point_ready = not any(_nests(g, Believes) for g in goal_list)
+    # Top-level B phi and ~B phi with a Believes-free phi: N(w0) alone
+    # decides them, so they filter the point's family menu.
+    point_literals = []
+    for g in goal_list:
+        literal = g.sub if isinstance(g, Not) else g
+        if isinstance(literal, Believes) and not _mentions(literal.sub, (Believes,)):
+            point_literals.append((literal.sub, literal is g))
     val_only = [
         g for g in goal_list if not _mentions(g, (Supports, Adequate, Believes))
     ]
@@ -432,6 +462,7 @@ def iter_candidates(
                         diag,
                         active_reasons,
                         operands,
+                        point_literals,
                         ctx,
                         up,
                         prune,
@@ -450,29 +481,52 @@ def _family_stage(
     diag: dict[str, int],
     active: tuple[str, ...],
     operands: tuple[Formula, ...],
+    point_literals: list[tuple[Formula, bool]],
     ctx: _Ctx,
     up: list[int],
     prune: bool,
     point_ready: bool,
     tick: Callable[[], None],
 ) -> Iterator[tuple[Model, str]]:
+    """The candidates of one relation assignment, one family per world.
+
+    The point's menu comes first and keeps only the families that decide
+    its belief literals (see the module docstring) the way the goals ask,
+    so an empty menu ends the assignment before the other worlds' menus,
+    the product and any staged context.  The staged check then evaluates
+    every goal at the point on each combination of families.
+    """
     n = len(world_names)
     forced = 1 << diag[SIGMA_NAME] if cfg.sigma else 0
     pool = _seed_pool(active, diag, operands, ctx)
+    # The point's belief literals ask for every world set in ``need`` and
+    # none in ``avoid`` as members of N(w0).  Their operands are Believes-
+    # free, so these sets are the ones the staged check will see: the
+    # filter drops only families that check would reject.
+    need = avoid = 0
+    if prune:
+        for body, believed in point_literals:
+            bit = 1 << ctx.extension(body)
+            if believed:
+                need |= bit
+            else:
+                avoid |= bit
+    point_menu = _family_menu(
+        bounds, pool, ctx, up, 0, world_names[0], forced, prune, need, avoid
+    )
+    if not point_menu:
+        return
+    menus = [point_menu]
     # Without nested belief only the point's family matters, so every other
     # world gets the minimal family, the closure of the forced seed alone.
     rest_pool = [] if point_ready else pool
-    menus = []
     for i in range(1, n):
         menu = _family_menu(
-            bounds, rest_pool, ctx, up, i, world_names[i], forced, prune
+            bounds, rest_pool, ctx, up, i, world_names[i], forced, prune, 0, 0
         )
         if not menu:
             return
         menus.append(menu)
-    menus.insert(
-        0, _family_menu(bounds, pool, ctx, up, 0, world_names[0], forced, prune)
-    )
     for combo in itertools.product(*menus):
         tick()
         if prune:

@@ -582,11 +582,23 @@ def model_to_doc(model: Model, point: str | None = None) -> dict:
 
 
 def model_from_doc(doc: dict) -> tuple[Model, str | None]:
+    """The model and optional point of a wire document.
+
+    ``access``, ``neighborhoods`` and ``valuation`` may be absent or null,
+    which reads as empty; anything else but a JSON object is a ValueError.
+    """
+    worlds = [str(w) for w in doc["worlds"]]
+    fields = {}
+    for key in ("access", "neighborhoods", "valuation"):
+        value = doc.get(key)
+        if value is not None and not isinstance(value, dict):
+            raise ValueError(f"model field {key!r} must be a JSON object")
+        fields[key] = value or {}
     model = make_model(
-        [str(w) for w in doc["worlds"]],
-        {r: [(a, b) for a, b in ps] for r, ps in doc.get("access", {}).items()},
-        doc.get("neighborhoods"),
-        doc.get("valuation"),
+        worlds,
+        {r: [(a, b) for a, b in ps] for r, ps in fields["access"].items()},
+        fields["neighborhoods"],
+        fields["valuation"],
     )
     point = doc.get("point")
     if point is not None and point not in model.worlds:

@@ -208,6 +208,32 @@ def test_tdtd_nor_report_is_pinned(capsys):
     )
 
 
+# The other nine reports at the same bounds, frozen from the search as it
+# stood before the point's belief literals filtered its family menu; the
+# digests cover the whole JSON output, byte for byte.
+SCENARIO_DIGESTS = {
+    "G2": "fc65b93fc3a3cbcc760bbdfa4da560b108cf5ddc8639ff560d79790cff983eb8",
+    "G2prime": "6de48ca02239edfd4f79ea9797e2ca99713515d96169cef36bca60d8262b1b2b",
+    "Barn": "9b271989427ef38952f3ff687cd1f889f7e955c87c853a5a5a073f860c609c83",
+    "BarnPrime": "dcb3be17a5011093b7ddb79d4fc437e556e3c4dad09ff35800e33240d4d70cdb",
+    "BarnAdequate": "c02c7211b0109d2eb68a4aaa4f051953a8c22a5d90b0860be100d9444ec1375e",
+    "BarnInadequate": "f3d50d2e32ed9bf69ebf9f1d5540be97d6379ef55e7a929826e899e5621e03f7",
+    "TDTD": "b581fd0cea6da09c64ef843c546432c894e0de245b9562aa561177cc281c3e0c",
+    "noRCL": "6a6723d93e4ee1429da76b8969ed1bfc6b24d183a1165518c08395d85c24c019",
+    "MixedMersenne": "79bfe513b9581a459ca97341a694ecf174ce1b42acddcf859e591496f64dc904",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+def test_scenario_report_is_pinned(capsys, name):
+    code, out, _ = run(
+        capsys, "scenario", name, "--format", "json",
+        "--bounds", "worlds=3,seeds=4,budget=120",
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SCENARIO_DIGESTS[name]
+
+
 def test_validate_model(capsys, tmp_path):
     path = write_json(tmp_path, "m.json", TINY_MODEL)
     code, out, _ = run(capsys, "validate-model", path)
@@ -256,6 +282,35 @@ def test_validate_model_report_is_independent_of_the_hash_seed(tmp_path):
             ("d", "w0", [["w0", "w3"], ["w1", "w2"]]),
             ("d", "w0", [["w1", "w2", "w3"], ["w0"]]),
         ], seed
+
+
+# Lists where the model document wants objects.
+NOT_OBJECTS = {"access": [["w0", "w0"]], "neighborhoods": [["w0"]], "valuation": ["p"]}
+
+
+@pytest.mark.parametrize("command", ["eval", "validate-model"])
+@pytest.mark.parametrize("key", sorted(NOT_OBJECTS))
+def test_model_field_that_is_not_an_object_is_bad_input(capsys, tmp_path, command, key):
+    doc = {**TINY_MODEL, key: NOT_OBJECTS[key]}
+    path = write_json(tmp_path, "m.json", doc)
+    argv = ["eval", "--model", path, "p"] if command == "eval" else [command, path]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and key in err
+    assert "internal error" not in err and "Traceback" not in out + err
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    # No exception may escape main: Python would exit 1, which means
+    # "rejected".
+    def broken(args):
+        raise AttributeError("no such thing")
+
+    monkeypatch.setattr("rbb.cli._cmd_parse", broken)
+    code, out, err = run(capsys, "parse", "p")
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "error: internal error: AttributeError: no such thing\n"
 
 
 def test_find_model_round_trip(capsys, tmp_path):

@@ -19,6 +19,7 @@ from rbb.search import (
     find_model,
     find_models,
     iter_candidates,
+    iter_witnesses,
     outcome_to_doc,
 )
 from rbb.semantics import satisfies, validate_model
@@ -278,6 +279,44 @@ def test_unpruned_candidate_counts(text, cfg, expected):
     goal = parse(text, cfg)
     got = sum(1 for _ in iter_candidates((goal,), cfg, W1, prune=False))
     assert got == expected
+
+
+# Goal sets for the pruning oracle: top-level B and ~B literals, a B and
+# a ~B of the same set, nested belief, Supports and quantifiers inside the
+# operand, and a valid sigma axiom whose negation has no model.
+PRUNING_CASES = [
+    ("RBB", ("r",), ("p", "q"), ("B p", "~B q")),
+    ("RBB", ("r",), ("p", "q"), ("B (p | q)", "~B p", "~p")),
+    ("RBB", ("r",), ("p",), ("~(B p -> p)",)),
+    ("RBB", ("r",), ("p",), ("B p", "~B (p & p)")),
+    ("RBB", ("r",), ("p",), ("B (r:p)", "~B p", "r")),
+    ("RBB", ("r",), ("p",), ("~B (B p)", "B p", "r", "~p")),
+    ("RBBs", ("r",), ("p",), ("B p", "~B r")),
+    ("RBBs", ("r",), ("p",), ("~(B r & r:p -> sigma:p)",)),
+    ("RBBs+", ("r",), ("p",), ("B p", "~B (~p)")),
+    ("QRBB", ("r", "s"), ("p",), ("B (A t. t:p)", "~B p")),
+    ("QRBB", ("r", "s"), ("p",), ("~B (A t. t:p | p)", "E t. t")),
+]
+
+
+@pytest.mark.parametrize(
+    "theory,reasons,letters,texts",
+    PRUNING_CASES,
+    ids=["".join(f"{case[0]}:{'/'.join(case[3])}".split()) for case in PRUNING_CASES],
+)
+def test_pruning_drops_no_witness(theory, reasons, letters, texts):
+    # The quick checks are exact: the pruned walk yields, in order, just the
+    # unpruned candidates that pass the public checks.
+    cfg = TheoryConfig.from_name(theory, reasons, letters)
+    goals = tuple(parse(t, cfg) for t in texts)
+    bounds = SearchBounds(max_worlds=2, budget_secs=None)
+    wanted = [
+        Witness(model, point)
+        for model, point in iter_candidates(goals, cfg, bounds, prune=False)
+        if validate_model(model, cfg).ok
+        and all(satisfies(model, point, g, cfg) for g in goals)
+    ]
+    assert list(iter_witnesses(goals, cfg, bounds)) == wanted
 
 
 def test_witnesses_revalidate(base_corpus):
