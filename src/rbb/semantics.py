@@ -584,10 +584,13 @@ def model_to_doc(model: Model, point: str | None = None) -> dict:
 def model_from_doc(doc: dict) -> tuple[Model, str | None]:
     """The model and optional point of a wire document.
 
-    ``access``, ``neighborhoods`` and ``valuation`` may be absent or null,
-    which reads as empty; anything else but a JSON object is a ValueError.
+    ``worlds`` must be a JSON array of strings.  ``access``, ``neighborhoods``
+    and ``valuation`` may be absent or null, which reads as empty; anything
+    else but a JSON object is a ValueError.
     """
-    worlds = [str(w) for w in doc["worlds"]]
+    worlds = doc["worlds"]
+    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+        raise ValueError("model field 'worlds' must be a JSON array of strings")
     fields = {}
     for key in ("access", "neighborhoods", "valuation"):
         value = doc.get(key)

@@ -219,15 +219,6 @@ def neq(left: AtomicReason, right: AtomicReason) -> Formula:
     return Not(Eq(left, right))
 
 
-def forall_ne(var: str, other: AtomicReason, body: Formula) -> Formula:
-    """``(A var != other) body``, i.e. A var. var != other -> body."""
-    return ForAll(var, impl(neq(atom_term(var), other), body))
-
-
-def exists_ne(var: str, other: AtomicReason, body: Formula) -> Formula:
-    return exists(var, conj(neq(atom_term(var), other), body))
-
-
 # ---------------------------------------------------------------------------
 # Destructuring helpers for the expanded abbreviations
 

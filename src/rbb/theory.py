@@ -14,6 +14,18 @@ rules are available:
 (CL) is decided by brute-force truth tables over the propositional skeleton:
 maximal subformulas that are not negations or disjunctions are treated as
 opaque atoms, identified up to structural equality.
+
+Every other scheme but (UI) is written once, as a template built with the
+syntax constructors and read as the paper states the scheme.  In a template
+a ``Letter`` stands for any formula, a ``Basic`` reason for any reason term
+(``App`` compounds included), and a ``ForAll`` binder name for any variable;
+``SIGMA`` stands only for itself.  Every occurrence of a metavariable must
+take the same value, and distinct metavariables may take equal ones.  Two
+side conditions are predicates on the bindings: in (UD) the binder is not
+free in the antecedent, and in (EN) the two symbols differ.  (UI) is a
+function, since it instantiates over the declared reasons.  The order of the
+scheme table is the match priority: a formula is reported as the first
+enabled scheme it instantiates.
 """
 
 from __future__ import annotations
@@ -26,19 +38,22 @@ from typing import Callable
 
 from .syntax import (
     RESERVED_WORDS,
+    SIGMA,
     SIGMA_NAME,
     Adequate,
     App,
+    Basic,
     Believes,
     Eq,
     ForAll,
     Formula,
+    Letter,
     Not,
     Or,
     Supports,
     as_implies,
-    atom_term,
     free_reasons,
+    impl,
     is_free_for,
     substitute,
 )
@@ -70,25 +85,6 @@ class SchemeId(enum.Enum):
     MR = "MR"
     MT = "MT"
     APP = "APP"
-
-
-#: Fixed priority for match_axiom; earlier schemes win on overlap.
-MATCH_ORDER = (
-    SchemeId.CL,
-    SchemeId.RK,
-    SchemeId.A,
-    SchemeId.RB,
-    SchemeId.D,
-    SchemeId.UD,
-    SchemeId.UI,
-    SchemeId.EP,
-    SchemeId.EN,
-    SchemeId.MA,
-    SchemeId.MB,
-    SchemeId.MR,
-    SchemeId.MT,
-    SchemeId.APP,
-)
 
 
 def _check_names(kind: str, names: tuple[str, ...]) -> None:
@@ -283,83 +279,32 @@ def is_tautology_instance(formula: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Scheme matchers.  Each returns True when the formula (with abbreviations
-# already expanded) is an instance of the scheme.
+# Scheme matching (templates and their reading: see the module docstring)
 
 
-def _is_cl(f: Formula, cfg: TheoryConfig) -> bool:
-    return is_tautology_instance(f)
+def _match(pattern, term, env: dict) -> bool:
+    """Extend ``env`` so that ``pattern`` instantiates to ``term``, or say it cannot.
 
-
-def _is_rk(f: Formula, cfg: TheoryConfig) -> bool:
-    outer = as_implies(f)
-    if outer is None or not isinstance(outer[0], Supports):
+    Every occurrence of a metavariable must take the value of its first one.
+    """
+    if isinstance(pattern, (Letter, Basic, str)):
+        return env.setdefault(pattern, term) == term
+    if type(pattern) is not type(term):
         return False
-    prem, rest = outer
-    inner = as_implies(prem.sub)
-    pair = as_implies(rest)
-    if inner is None or pair is None:
-        return False
-    left, right = pair
-    return (
-        isinstance(left, Supports)
-        and isinstance(right, Supports)
-        and left.reason == prem.reason == right.reason
-        and left.sub == inner[0]
-        and right.sub == inner[1]
-    )
+    for name in pattern.__match_args__:
+        if not _match(getattr(pattern, name), getattr(term, name), env):
+            return False
+    return True
 
 
-def _is_a(f: Formula, cfg: TheoryConfig) -> bool:
-    outer = as_implies(f)
-    if outer is None or not isinstance(outer[0], Supports):
-        return False
-    prem, rest = outer
-    pair = as_implies(rest)
-    return (
-        pair is not None
-        and pair[0] == Adequate(prem.reason)
-        and pair[1] == prem.sub
-    )
+def _template(pattern: Formula, side: Callable[[dict], bool] | None = None):
+    """The matcher for ``pattern``, with an optional side condition on its bindings."""
 
+    def matches(formula: Formula, cfg: TheoryConfig) -> bool:
+        env: dict = {}
+        return _match(pattern, formula, env) and (side is None or side(env))
 
-def _is_rb(f: Formula, cfg: TheoryConfig) -> bool:
-    outer = as_implies(f)
-    if outer is None or not isinstance(outer[0], Supports):
-        return False
-    prem, rest = outer
-    pair = as_implies(rest)
-    return (
-        pair is not None
-        and pair[0] == Believes(Adequate(prem.reason))
-        and pair[1] == Believes(prem.sub)
-    )
-
-
-def _is_d(f: Formula, cfg: TheoryConfig) -> bool:
-    pair = as_implies(f)
-    return (
-        pair is not None
-        and isinstance(pair[0], Believes)
-        and pair[1] == Not(Believes(Not(pair[0].sub)))
-    )
-
-
-def _is_ud(f: Formula, cfg: TheoryConfig) -> bool:
-    outer = as_implies(f)
-    if outer is None or not isinstance(outer[0], ForAll):
-        return False
-    quant, rest = outer
-    inner = as_implies(quant.sub)
-    pair = as_implies(rest)
-    if inner is None or pair is None or not isinstance(pair[1], ForAll):
-        return False
-    return (
-        pair[0] == inner[0]
-        and pair[1].var == quant.var
-        and pair[1].sub == inner[1]
-        and quant.var not in free_reasons(inner[0])
-    )
+    return matches
 
 
 def _is_ui(f: Formula, cfg: TheoryConfig) -> bool:
@@ -367,93 +312,46 @@ def _is_ui(f: Formula, cfg: TheoryConfig) -> bool:
     if outer is None or not isinstance(outer[0], ForAll):
         return False
     quant, rest = outer
-    for cand in cfg.reasons:
-        if is_free_for(cand, quant.var, quant.sub) and substitute(quant.sub, quant.var, cand) == rest:
-            return True
-    return False
-
-
-def _is_ep(f: Formula, cfg: TheoryConfig) -> bool:
-    return isinstance(f, Eq) and f.left == f.right
-
-
-def _is_en(f: Formula, cfg: TheoryConfig) -> bool:
-    return isinstance(f, Not) and isinstance(f.sub, Eq) and f.sub.left != f.sub.right
-
-
-def _is_ma(f: Formula, cfg: TheoryConfig) -> bool:
-    outer = as_implies(f)
-    if outer is None or outer[0] != Adequate(atom_term(SIGMA_NAME)):
-        return False
-    pair = as_implies(outer[1])
-    return (
-        pair is not None
-        and isinstance(pair[1], Adequate)
-        and pair[0] == Believes(pair[1])
+    return any(
+        is_free_for(cand, quant.var, quant.sub)
+        and substitute(quant.sub, quant.var, cand) == rest
+        for cand in cfg.reasons
     )
 
 
-def _is_mb(f: Formula, cfg: TheoryConfig) -> bool:
-    return f == Believes(Adequate(atom_term(SIGMA_NAME)))
+PHI, PSI = Letter("phi"), Letter("psi")
+T, U = Basic("t"), Basic("u")
 
-
-def _is_mr(f: Formula, cfg: TheoryConfig) -> bool:
-    outer = as_implies(f)
-    if outer is None or not isinstance(outer[0], Supports):
-        return False
-    prem, rest = outer
-    pair = as_implies(rest)
-    return (
-        pair is not None
-        and pair[0] == Believes(Adequate(prem.reason))
-        and pair[1] == Supports(atom_term(SIGMA_NAME), prem.sub)
-    )
-
-
-def _is_mt(f: Formula, cfg: TheoryConfig) -> bool:
-    pair = as_implies(f)
-    return (
-        pair is not None
-        and isinstance(pair[0], Believes)
-        and pair[1] == Supports(atom_term(SIGMA_NAME), pair[0].sub)
-    )
-
-
-def _is_app(f: Formula, cfg: TheoryConfig) -> bool:
-    outer = as_implies(f)
-    if outer is None or not isinstance(outer[0], Supports):
-        return False
-    prem, rest = outer
-    inner = as_implies(prem.sub)
-    pair = as_implies(rest)
-    if inner is None or pair is None:
-        return False
-    left, right = pair
-    return (
-        isinstance(left, Supports)
-        and isinstance(right, Supports)
-        and left.sub == inner[0]
-        and right.sub == inner[1]
-        and right.reason == App(prem.reason, left.reason)
-    )
-
-
-# Only (UI) reads the configuration: it instantiates over the declared reasons.
-_MATCHERS: dict[SchemeId, Callable[[Formula, TheoryConfig], bool]] = {
-    SchemeId.CL: _is_cl,
-    SchemeId.RK: _is_rk,
-    SchemeId.A: _is_a,
-    SchemeId.RB: _is_rb,
-    SchemeId.D: _is_d,
-    SchemeId.UD: _is_ud,
+#: Every scheme's matcher, in match priority: earlier schemes win on overlap.
+#: Only (UI) reads the configuration: it instantiates over the declared reasons.
+_SCHEMES: dict[SchemeId, Callable[[Formula, TheoryConfig], bool]] = {
+    SchemeId.CL: lambda f, cfg: is_tautology_instance(f),
+    SchemeId.RK: _template(
+        impl(Supports(T, impl(PHI, PSI)), impl(Supports(T, PHI), Supports(T, PSI)))
+    ),
+    SchemeId.A: _template(impl(Supports(T, PHI), impl(Adequate(T), PHI))),
+    SchemeId.RB: _template(
+        impl(Supports(T, PHI), impl(Believes(Adequate(T)), Believes(PHI)))
+    ),
+    SchemeId.D: _template(impl(Believes(PHI), Not(Believes(Not(PHI))))),
+    SchemeId.UD: _template(
+        impl(ForAll("x", impl(PHI, PSI)), impl(PHI, ForAll("x", PSI))),
+        lambda env: env["x"] not in free_reasons(env[PHI]),
+    ),
     SchemeId.UI: _is_ui,
-    SchemeId.EP: _is_ep,
-    SchemeId.EN: _is_en,
-    SchemeId.MA: _is_ma,
-    SchemeId.MB: _is_mb,
-    SchemeId.MR: _is_mr,
-    SchemeId.MT: _is_mt,
-    SchemeId.APP: _is_app,
+    SchemeId.EP: _template(Eq(T, T)),
+    SchemeId.EN: _template(Not(Eq(T, U)), lambda env: env[T] != env[U]),
+    SchemeId.MA: _template(
+        impl(Adequate(SIGMA), impl(Believes(Adequate(T)), Adequate(T)))
+    ),
+    SchemeId.MB: _template(Believes(Adequate(SIGMA))),
+    SchemeId.MR: _template(
+        impl(Supports(T, PHI), impl(Believes(Adequate(T)), Supports(SIGMA, PHI)))
+    ),
+    SchemeId.MT: _template(impl(Believes(PHI), Supports(SIGMA, PHI))),
+    SchemeId.APP: _template(
+        impl(Supports(T, impl(PHI, PSI)), impl(Supports(U, PHI), Supports(App(T, U), PSI)))
+    ),
 }
 
 
@@ -467,7 +365,7 @@ def match_axiom(formula: Formula, cfg: TheoryConfig) -> SchemeId | None:
     syntactically different symbols.
     """
     enabled = cfg.schemes
-    for sid in MATCH_ORDER:
-        if sid in enabled and _MATCHERS[sid](formula, cfg):
+    for sid, matches in _SCHEMES.items():
+        if sid in enabled and matches(formula, cfg):
             return sid
     return None

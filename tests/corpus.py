@@ -16,6 +16,7 @@ from rbb.syntax import (
     SIGMA,
     SIGMA_NAME,
     Adequate,
+    App,
     Believes,
     Eq,
     ForAll,
@@ -310,4 +311,10 @@ def axiom_instance(
     if scheme is SchemeId.MT:
         a = sub()
         return impl(Believes(a), Supports(SIGMA, a))
+    if scheme is SchemeId.APP:
+        s, r = (atom_term(rng.choice(cfg.basic_reasons)) for _ in range(2))
+        a, b = sub(), sub()
+        return impl(
+            Supports(s, impl(a, b)), impl(Supports(r, a), Supports(App(s, r), b))
+        )
     raise ValueError(f"no instance factory for {scheme}")

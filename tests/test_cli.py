@@ -300,6 +300,34 @@ def test_model_field_that_is_not_an_object_is_bad_input(capsys, tmp_path, comman
     assert "internal error" not in err and "Traceback" not in out + err
 
 
+# Values for `worlds` that are not a JSON array of strings, each with a world
+# that its characters, keys or items would name.
+NOT_WORLD_LISTS = {
+    "string": ("ab", "a"),
+    "object": ({"a": 1, "b": 2}, "a"),
+    "nested": (["a", ["b"]], "a"),
+    "numbers": ([0, 1], "0"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "validate-model"])
+@pytest.mark.parametrize("kind", sorted(NOT_WORLD_LISTS))
+def test_worlds_that_are_not_an_array_of_strings_are_bad_input(
+    capsys, tmp_path, command, kind
+):
+    worlds, world = NOT_WORLD_LISTS[kind]
+    doc = {"worlds": worlds, "access": {"r": [], "s": []}}
+    path = write_json(tmp_path, "m.json", doc)
+    if command == "eval":
+        argv = ["eval", "--model", path, "--at", world, "~p"]
+    else:
+        argv = [command, path]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and "worlds" in err
+    assert "internal error" not in err and "Traceback" not in out + err
+
+
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     # No exception may escape main: Python would exit 1, which means
     # "rejected".

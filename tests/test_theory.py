@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from rbb.syntax import (
     App,
     Adequate,
     Believes,
+    CaptureError,
     Eq,
     ForAll,
     Letter,
@@ -17,6 +19,7 @@ from rbb.syntax import (
     atom_term,
     disj,
     impl,
+    substitute,
 )
 from rbb.theory import (
     SchemeId,
@@ -236,7 +239,7 @@ def test_priority_prefers_cl():
 
 def test_generated_instances_match_their_scheme():
     rng = random.Random(5)
-    for name in ("RBB", "RBBs", "RBBs+", "QRBB", "QRBBs", "QRBBs+"):
+    for name in ("RBB", "RBBs", "RBBs+", "QRBB", "QRBBs", "QRBBs+", "RBB+App"):
         cfg = class_config(name)
         for scheme in sorted(cfg.schemes, key=lambda s: s.value):
             hits = 0
@@ -248,3 +251,50 @@ def test_generated_instances_match_their_scheme():
                 assert got is not None, (name, scheme, inst)
                 hits += 1
             assert hits > 0, (name, scheme)
+
+
+THEORIES = ("RBB", "RBBs", "RBBs+", "QRBB", "QRBBs", "QRBBs+", "RBB+App")
+
+# sha256 of the match_axiom results over the corpus below, frozen from the
+# hand-written matchers that preceded the scheme templates.
+MATCH_DIGEST = "3b73b1430603a279f5066a004fa0861d6660fb857c26c10fa819a0e5c420162a"
+
+
+def _swap(f, a, b):
+    """``f`` with the reason symbols a and b exchanged; None if that captures."""
+    try:
+        for old, new in ((a, "swap"), (b, a), ("swap", b)):
+            f = substitute(f, old, new)
+    except CaptureError:
+        return None
+    return f
+
+
+def _near_misses(f):
+    """Exchanges that break the agreement of reasons a scheme asks for.
+
+    r and s are exchanged in the right disjunct only (the consequent of an
+    implication), and sigma and r everywhere.
+    """
+    if isinstance(f, Or):
+        right = _swap(f.right, "r", "s")
+        yield None if right is None else Or(f.left, right)
+    yield _swap(f, "sigma", "r")
+
+
+def test_match_axiom_results_are_pinned():
+    rng = random.Random(11)
+    cfgs = [class_config(name) for name in THEORIES]
+    corpus = []
+    for cfg in cfgs:
+        for scheme in sorted(cfg.schemes, key=lambda s: s.value):
+            for _ in range(11):
+                inst = axiom_instance(rng, scheme, cfg)
+                if inst is not None:
+                    corpus += [inst, *_near_misses(inst)]
+    corpus = [f for f in corpus if f is not None]
+    assert len(corpus) > 1800
+    results = [match_axiom(f, cfg) for f in corpus for cfg in cfgs]
+    assert {r for r in results if r is not None} == set(SchemeId)
+    text = " ".join("-" if r is None else r.value for r in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATCH_DIGEST
