@@ -340,21 +340,13 @@ def analyze_scenario(
 
     queries = []
     for label, query in sc.focus:
-        falsifier = next(
-            (
-                w
-                for w in found
-                if not satisfies(w.model, w.world, query, sc.theory)
-            ),
-            None,
-        )
+        truths = [satisfies(w.model, w.world, query, sc.theory) for w in found]
+        falsifier = next((w for w, true in zip(found, truths) if not true), None)
         entailment = impl(conj(*assumptions), query)
         nonvalidity = check_nonvalidity(entailment, sc.theory, attack_bounds)
         if falsifier is None and isinstance(nonvalidity, Witness):
             falsifier = nonvalidity
-        true_in = sum(
-            1 for w in found if satisfies(w.model, w.world, query, sc.theory)
-        )
+        true_in = sum(truths)
         if falsifier is not None:
             status = QueryStatus.FAILS_IN_SOME
         elif found:

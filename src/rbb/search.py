@@ -32,17 +32,20 @@ clauses are written down once.  Goal analysis happens once per search: the
 Believes operands that seed the families are collected up front, and one
 memo of quantifier instances serves every context the search builds.
 
-Each goal conjunct is decided at the first stage that fixes its value at
-the point:
+One schedule, built by `_schedule`, puts each goal conjunct into exactly
+one stage, the first in walk order that fixes its value at the point, and
+each stage checks only its own conjuncts:
 
 * valuation: conjuncts without Supports, adequacy atoms or Believes;
-* relations: Believes-free conjuncts, each filtering its reason's options
-  before the cross-reason product when it has one free reason and no
-  quantifier, and checked on the whole assignment otherwise;
+* reason k's options: Believes-free conjuncts with the one free reason k,
+  an active one, and no quantifier, which filter k's relation shapes
+  before the cross-reason product;
+* relation assignment: every other Believes-free conjunct;
 * the point's family menu: top-level ``B phi`` and ``~B phi`` with a
   Believes-free phi, whose extension the relations already fix, so they
   keep just the point families that hold ext(phi) or lack it;
-* staged: every conjunct, on each combination of families.
+* staged: the conjuncts no earlier stage decides, on each combination of
+  families.
 
 A candidate that survives the quick checks is rebuilt as a public
 :class:`~rbb.semantics.Model` and re-examined with `validate_model` and
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .parser import print_formula
@@ -294,6 +297,42 @@ def _seed_pool(
     return list(dict.fromkeys(masks))
 
 
+@dataclass
+class _Schedule:
+    """The goal conjuncts of each stage, in walk order (see the module
+    docstring); ``point`` holds (phi, believed) for each belief literal.
+    The unpruned walk gets the empty schedule with ``prune`` off, which
+    keeps frame-faulty families too.
+    """
+
+    prune: bool
+    valuation: list[Formula] = field(default_factory=list)
+    reasons: dict[str, list[Formula]] = field(default_factory=dict)
+    relations: list[Formula] = field(default_factory=list)
+    point: list[tuple[Formula, bool]] = field(default_factory=list)
+    staged: list[Formula] = field(default_factory=list)
+
+
+def _schedule(goal_list: tuple[Formula, ...], active: tuple[str, ...]) -> _Schedule:
+    """Put each conjunct into the first stage that fixes its value."""
+    out = _Schedule(True)
+    for g in goal_list:
+        literal = g.sub if isinstance(g, Not) else g
+        if not _mentions(g, (Supports, Adequate, Believes)):
+            out.valuation.append(g)
+        elif not _mentions(g, (Believes,)):
+            free = free_reasons(g)
+            if len(free) == 1 and free <= set(active) and not _mentions(g, (ForAll,)):
+                out.reasons.setdefault(next(iter(free)), []).append(g)
+            else:
+                out.relations.append(g)
+        elif isinstance(literal, Believes) and not _mentions(literal.sub, (Believes,)):
+            out.point.append((literal.sub, literal is g))
+        else:
+            out.staged.append(g)
+    return out
+
+
 def _family_menu(
     bounds: SearchBounds,
     pool: list[int],
@@ -359,32 +398,7 @@ def iter_candidates(
 
     restricted = not cfg.sigma and not any(_nests(g, Supports) for g in goal_list)
     point_ready = not any(_nests(g, Believes) for g in goal_list)
-    # Top-level B phi and ~B phi with a Believes-free phi: N(w0) alone
-    # decides them, so they filter the point's family menu.
-    point_literals = []
-    for g in goal_list:
-        literal = g.sub if isinstance(g, Not) else g
-        if isinstance(literal, Believes) and not _mentions(literal.sub, (Believes,)):
-            point_literals.append((literal.sub, literal is g))
-    val_only = [
-        g for g in goal_list if not _mentions(g, (Supports, Adequate, Believes))
-    ]
-    # Relation-stage goals, split so that a goal touching one reason can
-    # filter that reason's options before the cross-reason product.
-    single: dict[str, list[Formula]] = {}
-    joint: list[Formula] = []
-    for g in goal_list:
-        if _mentions(g, (Believes,)):
-            continue
-        free = free_reasons(g)
-        if (
-            len(free) == 1
-            and not _mentions(g, (ForAll,))
-            and next(iter(free)) in active_reasons
-        ):
-            single.setdefault(next(iter(free)), []).append(g)
-        else:
-            joint.append(g)
+    schedule = _schedule(goal_list, active_reasons) if prune else _Schedule(False)
 
     state = {"examined": 0, "worlds": 1}
 
@@ -414,14 +428,14 @@ def iter_candidates(
                     for j, name in enumerate(active_letters):
                         if mask >> j & 1:
                             letters[name] |= 1 << i
-                if prune and val_only:
+                if schedule.valuation:
                     stage0 = _Ctx(cfg, n, letters, {}, {}, unfixed, instances)
-                    if not all(stage0.extension(g) & 1 for g in val_only):
+                    if not all(stage0.extension(g) & 1 for g in schedule.valuation):
                         continue
                 menus = []
                 for name in active_reasons:
-                    if prune and name in single:
-                        goals_here = single[name]
+                    goals_here = schedule.reasons.get(name)
+                    if goals_here:
                         kept = []
                         for opt in base_options:
                             ctx = _Ctx(
@@ -448,69 +462,50 @@ def iter_candidates(
                             rows[name] = [0] * n
                             diag[name] = 0
                     ctx = _Ctx(cfg, n, letters, rows, diag, unfixed, instances)
-                    if prune and joint and not all(
-                        ctx.extension(g) & 1 for g in joint
+                    if schedule.relations and not all(
+                        ctx.extension(g) & 1 for g in schedule.relations
                     ):
                         continue
                     yield from _family_stage(
-                        cfg,
-                        bounds,
-                        goal_list,
-                        world_names,
-                        letters,
-                        rows,
-                        diag,
-                        active_reasons,
-                        operands,
-                        point_literals,
-                        ctx,
-                        up,
-                        prune,
-                        point_ready,
-                        tick,
+                        bounds, world_names, active_reasons, operands, ctx, up,
+                        point_ready, schedule, tick,
                     )
 
 
 def _family_stage(
-    cfg: TheoryConfig,
     bounds: SearchBounds,
-    goal_list: tuple[Formula, ...],
     world_names: tuple[str, ...],
-    letters: dict[str, int],
-    rows: dict[str, list[int]],
-    diag: dict[str, int],
     active: tuple[str, ...],
     operands: tuple[Formula, ...],
-    point_literals: list[tuple[Formula, bool]],
     ctx: _Ctx,
     up: list[int],
-    prune: bool,
     point_ready: bool,
+    schedule: _Schedule,
     tick: Callable[[], None],
 ) -> Iterator[tuple[Model, str]]:
-    """The candidates of one relation assignment, one family per world.
+    """The candidates of one relation assignment ``ctx``, one family per world.
 
     The point's menu comes first and keeps only the families that decide
-    its belief literals (see the module docstring) the way the goals ask,
-    so an empty menu ends the assignment before the other worlds' menus,
-    the product and any staged context.  The staged check then evaluates
-    every goal at the point on each combination of families.
+    the schedule's belief literals the way the goals ask, so an empty menu
+    ends the assignment before the other worlds' menus and the product.
+    The staged check then evaluates, on each combination of families, just
+    the conjuncts no earlier stage decides; with none, every combination is
+    a candidate and no staged context is built.
     """
-    n = len(world_names)
+    cfg, n, diag = ctx.cfg, ctx.n, ctx.diag
     forced = 1 << diag[SIGMA_NAME] if cfg.sigma else 0
     pool = _seed_pool(active, diag, operands, ctx)
     # The point's belief literals ask for every world set in ``need`` and
     # none in ``avoid`` as members of N(w0).  Their operands are Believes-
-    # free, so these sets are the ones the staged check will see: the
-    # filter drops only families that check would reject.
+    # free, so the relation context already fixes these sets.
     need = avoid = 0
-    if prune:
-        for body, believed in point_literals:
-            bit = 1 << ctx.extension(body)
-            if believed:
-                need |= bit
-            else:
-                avoid |= bit
+    for body, believed in schedule.point:
+        bit = 1 << ctx.extension(body)
+        if believed:
+            need |= bit
+        else:
+            avoid |= bit
+    prune = schedule.prune
     point_menu = _family_menu(
         bounds, pool, ctx, up, 0, world_names[0], forced, prune, need, avoid
     )
@@ -527,13 +522,14 @@ def _family_stage(
         if not menu:
             return
         menus.append(menu)
+    staged = schedule.staged
     for combo in itertools.product(*menus):
         tick()
-        if prune:
-            staged = _Ctx(cfg, n, letters, rows, diag, combo, ctx.instances)
-            if not all(staged.extension(g) & 1 for g in goal_list):
+        if staged:
+            at = _Ctx(cfg, n, ctx.letters, ctx.rows, diag, combo, ctx.instances)
+            if not all(at.extension(g) & 1 for g in staged):
                 continue
-        yield _assemble(cfg, world_names, letters, rows, combo), world_names[0]
+        yield _assemble(cfg, world_names, ctx.letters, ctx.rows, combo), world_names[0]
 
 
 def _assemble(

@@ -581,15 +581,25 @@ def model_to_doc(model: Model, point: str | None = None) -> dict:
     return doc
 
 
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def model_from_doc(doc: dict) -> tuple[Model, str | None]:
     """The model and optional point of a wire document.
 
-    ``worlds`` must be a JSON array of strings.  ``access``, ``neighborhoods``
-    and ``valuation`` may be absent or null, which reads as empty; anything
-    else but a JSON object is a ValueError.
+    The document must be a JSON object whose ``worlds`` is an array of
+    strings.  ``access``, ``neighborhoods`` and ``valuation`` may be absent
+    or null, which reads as empty, and are otherwise objects: ``access``
+    maps a reason to an array of [from, to] pairs, ``neighborhoods`` a
+    world to an array of world arrays, ``valuation`` a world to an array of
+    letters, all names being strings.  Any other shape is a ValueError
+    that names the field; a string is never read as its characters.
     """
-    worlds = doc["worlds"]
-    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+    if not isinstance(doc, dict):
+        raise ValueError("a model document must be a JSON object")
+    worlds = doc.get("worlds")
+    if not _strings(worlds):
         raise ValueError("model field 'worlds' must be a JSON array of strings")
     fields = {}
     for key in ("access", "neighborhoods", "valuation"):
@@ -597,11 +607,27 @@ def model_from_doc(doc: dict) -> tuple[Model, str | None]:
         if value is not None and not isinstance(value, dict):
             raise ValueError(f"model field {key!r} must be a JSON object")
         fields[key] = value or {}
+    for reason, pairs in fields["access"].items():
+        if not isinstance(pairs, list) or not all(
+            _strings(pair) and len(pair) == 2 for pair in pairs
+        ):
+            raise ValueError(
+                f"model field 'access' entry {reason!r} must be a JSON array "
+                "of [from, to] pairs of strings"
+            )
+    for w, family in fields["neighborhoods"].items():
+        if not isinstance(family, list) or not all(_strings(x) for x in family):
+            raise ValueError(
+                f"model field 'neighborhoods' entry {w!r} must be a JSON array "
+                "of arrays of strings"
+            )
+    for w, letters in fields["valuation"].items():
+        if not _strings(letters):
+            raise ValueError(
+                f"model field 'valuation' entry {w!r} must be a JSON array of strings"
+            )
     model = make_model(
-        worlds,
-        {r: [(a, b) for a, b in ps] for r, ps in fields["access"].items()},
-        fields["neighborhoods"],
-        fields["valuation"],
+        worlds, fields["access"], fields["neighborhoods"], fields["valuation"]
     )
     point = doc.get("point")
     if point is not None and point not in model.worlds:

@@ -328,6 +328,51 @@ def test_worlds_that_are_not_an_array_of_strings_are_bad_input(
     assert "internal error" not in err and "Traceback" not in out + err
 
 
+# Entries of a model over the worlds a and b that are not arrays of strings
+# where the format wants them: a string would be read as its characters,
+# which name worlds and letters here.
+NOT_STRING_ARRAYS = {
+    "valuation-string": ("valuation", {"a": "pq"}),
+    "valuation-number": ("valuation", {"a": 5}),
+    "valuation-numbers": ("valuation", {"a": [1]}),
+    "neighborhoods-string": ("neighborhoods", {"a": "ab"}),
+    "neighborhoods-member-string": ("neighborhoods", {"a": ["ab"]}),
+    "neighborhoods-member-number": ("neighborhoods", {"a": [1]}),
+    "access-not-array": ("access", {"r": 5}),
+    "access-pair-string": ("access", {"r": ["ab"]}),
+    "access-pair-number": ("access", {"r": [1]}),
+    "access-pair-triple": ("access", {"r": [["a", "b", "a"]]}),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "validate-model"])
+@pytest.mark.parametrize("kind", sorted(NOT_STRING_ARRAYS))
+def test_model_entries_that_are_not_arrays_of_strings_are_bad_input(
+    capsys, tmp_path, command, kind
+):
+    key, value = NOT_STRING_ARRAYS[kind]
+    doc = {"worlds": ["a", "b"], "access": {"r": [], "s": []}, key: value}
+    path = write_json(tmp_path, "m.json", doc)
+    if command == "eval":
+        argv = ["eval", "--model", path, "--at", "a", "~p"]
+    else:
+        argv = [command, path]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and key in err
+    assert "internal error" not in err and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", ["eval", "validate-model"])
+def test_model_document_that_is_not_an_object_is_bad_input(capsys, tmp_path, command):
+    path = write_json(tmp_path, "m.json", [TINY_MODEL])
+    argv = ["eval", "--model", path, "p"] if command == "eval" else [command, path]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and "JSON object" in err
+    assert "internal error" not in err and "Traceback" not in out + err
+
+
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     # No exception may escape main: Python would exit 1, which means
     # "rejected".

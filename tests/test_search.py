@@ -283,7 +283,10 @@ def test_unpruned_candidate_counts(text, cfg, expected):
 
 # Goal sets for the pruning oracle: top-level B and ~B literals, a B and
 # a ~B of the same set, nested belief, Supports and quantifiers inside the
-# operand, and a valid sigma axiom whose negation has no model.
+# operand, and a valid sigma axiom whose negation has no model.  The last
+# three reach the stages the others miss: a two-reason conjunct at the
+# relation assignment, an equation at the valuation, and a quantifier whose
+# instances need no model part at all.
 PRUNING_CASES = [
     ("RBB", ("r",), ("p", "q"), ("B p", "~B q")),
     ("RBB", ("r",), ("p", "q"), ("B (p | q)", "~B p", "~p")),
@@ -296,6 +299,9 @@ PRUNING_CASES = [
     ("RBBs+", ("r",), ("p",), ("B p", "~B (~p)")),
     ("QRBB", ("r", "s"), ("p",), ("B (A t. t:p)", "~B p")),
     ("QRBB", ("r", "s"), ("p",), ("~B (A t. t:p | p)", "E t. t")),
+    ("RBB", ("r", "s"), ("p",), ("r:p | s:p", "~r:p", "B p")),
+    ("QRBB", ("r", "s"), ("p",), ("r != s", "B (r:p)", "~s")),
+    ("QRBB", ("r", "s"), ("p",), ("A t. t = t", "~B p", "r")),
 ]
 
 
@@ -317,6 +323,23 @@ def test_pruning_drops_no_witness(theory, reasons, letters, texts):
         and all(satisfies(model, point, g, cfg) for g in goals)
     ]
     assert list(iter_witnesses(goals, cfg, bounds)) == wanted
+
+
+@pytest.mark.parametrize(
+    "theory,reasons,letters,texts",
+    PRUNING_CASES,
+    ids=["".join(f"{case[0]}:{'/'.join(case[3])}".split()) for case in PRUNING_CASES],
+)
+def test_pruned_candidates_pass_the_public_checks(theory, reasons, letters, texts):
+    # Each conjunct is checked once, at the stage that fixes its value, so a
+    # wrong stage would show only as a candidate the public re-check rejects:
+    # there must be none.
+    cfg = TheoryConfig.from_name(theory, reasons, letters)
+    goals = tuple(parse(t, cfg) for t in texts)
+    bounds = SearchBounds(max_worlds=2, budget_secs=None)
+    for model, point in iter_candidates(goals, cfg, bounds, prune=True):
+        assert validate_model(model, cfg).ok
+        assert all(satisfies(model, point, g, cfg) for g in goals)
 
 
 def test_witnesses_revalidate(base_corpus):
