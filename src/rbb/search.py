@@ -34,18 +34,47 @@ memo of quantifier instances serves every context the search builds.
 
 One schedule, built by `_schedule`, puts each goal conjunct into exactly
 one stage, the first in walk order that fixes its value at the point, and
-each stage checks only its own conjuncts:
+each stage checks only its own conjuncts.  A top-level ``A t. phi`` holds
+at the point exactly when each of its instances does, so the conjuncts of
+its instances take its place.
 
 * valuation: conjuncts without Supports, adequacy atoms or Believes;
-* reason k's options: Believes-free conjuncts with the one free reason k,
-  an active one, and no quantifier, which filter k's relation shapes
-  before the cross-reason product;
-* relation assignment: every other Believes-free conjunct;
+* reason k's shapes: Believes-free conjuncts with the one free reason k,
+  an active one, and no quantifier;
+* relation walk: every other Believes-free conjunct, at the first walk
+  position that fixes every reason it reads (all of them, for a
+  quantifier), and at the last position the point's base family;
 * the point's family menu: top-level ``B phi`` and ``~B phi`` with a
   Believes-free phi, whose extension the relations already fix, so they
   keep just the point families that hold ext(phi) or lack it;
 * staged: the conjuncts no earlier stage decides, on each combination of
   families.
+
+The relation walk fixes the active reasons depth first, each through its
+shapes in order, so the assignments come out in lexicographic order; walk
+position k has the first k reasons fixed.  At the point a conjunct reads
+each reason's point row and diagonal, and other rows only through Supports
+nested in a modality; a belief operand's whole extension counts as nested.
+So when no goal nests Supports, each check is decided once per tuple of
+(point row, diagonal) keys, on stand-in restricted shapes, and with
+forward checking: a key passes only when each later reason has a key that
+completes it.  A reason's shapes with one point row are contiguous in
+enumeration order and are made lazily, and a point row none of whose keys
+passes is skipped as one step.  Otherwise each check runs on each shape
+the walk reaches.  A reason whose own conjuncts admit no shape ends the
+valuation at once.
+
+The base family of world i is the least family its menu can hold: the
+(rb)-closure of the forced sigma seed and, at the point, of the sets the
+belief literals need.  Each fault the frame checker finds on that closed
+family, (pr), (d), (ma), (mr) or (mt), stays in every closed superset, and
+so does a set the belief literals avoid.  So a base fault drops the
+assignment before any menu is built: at the point in the walk, and at the
+other worlds in the family stage.
+
+The budget is polled at the first step and every 128th after it.  A step
+is a relation step (a check, a shape walked, or a point row skipped) or a
+family combination, and `BudgetExceeded` counts both.
 
 A candidate that survives the quick checks is rebuilt as a public
 :class:`~rbb.semantics.Model` and re-examined with `validate_model` and
@@ -57,6 +86,7 @@ and that caveat is part of the Exhausted contract.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -222,29 +252,28 @@ def _active_alphabets(
     return reasons, letters
 
 
-def _reason_options(n: int, restricted: bool) -> list[tuple[list[int], int]]:
-    """All relation shapes one reason can take, in enumeration order."""
-    per_reason: list[tuple[list[int], int]] = []
+#: A relation shape of one reason: its row per world, and its diagonal.
+_Shape = tuple[list[int], int]
+
+
+def _shape(n: int, key: tuple[int, int]) -> _Shape:
+    """The restricted shape with (point row, diagonal) ``key``: each other
+    world sees itself when it is on the diagonal, and nothing otherwise."""
+    return [key[0], *(key[1] & 1 << i for i in range(1, n))], key[1]
+
+
+def _shapes(n: int, restricted: bool, point_row: int) -> Iterator[_Shape]:
+    """One reason's relation shapes with ``point_row`` at w0, in enumeration
+    order, made one at a time: an unrestricted reason has 32^5 at 5 worlds."""
     if restricted:
-        for point_row in range(1 << n):
-            for rest_diag in range(1 << (n - 1)):
-                rows = [point_row]
-                diag = point_row & 1
-                for i in range(1, n):
-                    if rest_diag >> (i - 1) & 1:
-                        rows.append(1 << i)
-                        diag |= 1 << i
-                    else:
-                        rows.append(0)
-                per_reason.append((rows, diag))
-    else:
-        for combo in itertools.product(range(1 << n), repeat=n):
-            diag = 0
-            for i in range(n):
-                if combo[i] >> i & 1:
-                    diag |= 1 << i
-            per_reason.append((list(combo), diag))
-    return per_reason
+        for diag in range(point_row & 1, 1 << n, 2):
+            yield _shape(n, (point_row, diag))
+        return
+    for rest in itertools.product(range(1 << n), repeat=n - 1):
+        diag = point_row & 1
+        for i, row in enumerate(rest, 1):
+            diag |= row & 1 << i
+        yield [point_row, *rest], diag
 
 
 def _believed_operands(
@@ -300,37 +329,79 @@ def _seed_pool(
 @dataclass
 class _Schedule:
     """The goal conjuncts of each stage, in walk order (see the module
-    docstring); ``point`` holds (phi, believed) for each belief literal.
-    The unpruned walk gets the empty schedule with ``prune`` off, which
-    keeps frame-faulty families too.
+    docstring).  ``relations`` maps a walk position, the number of active
+    reasons fixed, to the conjuncts whose reasons are all fixed there;
+    ``point`` holds (phi, believed) for each belief literal.  The unpruned
+    walk gets the empty schedule with ``prune`` off, which keeps
+    frame-faulty families too.
     """
 
     prune: bool
     valuation: list[Formula] = field(default_factory=list)
     reasons: dict[str, list[Formula]] = field(default_factory=dict)
-    relations: list[Formula] = field(default_factory=list)
+    relations: dict[int, list[Formula]] = field(default_factory=dict)
     point: list[tuple[Formula, bool]] = field(default_factory=list)
     staged: list[Formula] = field(default_factory=list)
 
 
-def _schedule(goal_list: tuple[Formula, ...], active: tuple[str, ...]) -> _Schedule:
+def _schedule(
+    goal_list: tuple[Formula, ...],
+    active: tuple[str, ...],
+    cfg: TheoryConfig,
+    instances: dict[ForAll, tuple[Formula, ...]],
+) -> _Schedule:
     """Put each conjunct into the first stage that fixes its value."""
     out = _Schedule(True)
-    for g in goal_list:
+    goals = list(goal_list)
+    for g in goals:
         literal = g.sub if isinstance(g, Not) else g
-        if not _mentions(g, (Supports, Adequate, Believes)):
+        if isinstance(g, ForAll):
+            # It holds at the point exactly when each of its instances does,
+            # so their conjuncts join the list being walked.
+            insts = _instances(g, cfg, instances)
+            goals.extend(c for inst in insts for c in _conjuncts(inst))
+        elif not _mentions(g, (Supports, Adequate, Believes)):
             out.valuation.append(g)
         elif not _mentions(g, (Believes,)):
             free = free_reasons(g)
-            if len(free) == 1 and free <= set(active) and not _mentions(g, (ForAll,)):
+            if _mentions(g, (ForAll,)):
+                # A quantifier reads every reason, so it waits for them all.
+                out.relations.setdefault(len(active), []).append(g)
+            elif len(free) == 1 and free <= set(active):
                 out.reasons.setdefault(next(iter(free)), []).append(g)
             else:
-                out.relations.append(g)
+                at = max((active.index(r) + 1 for r in free if r in active), default=0)
+                out.relations.setdefault(at, []).append(g)
         elif isinstance(literal, Believes) and not _mentions(literal.sub, (Believes,)):
             out.point.append((literal.sub, literal is g))
         else:
             out.staged.append(g)
     return out
+
+
+def _point_sets(schedule: _Schedule, ctx: _Ctx) -> tuple[int, int]:
+    """The world sets the point's belief literals ask N(w0) to hold
+    (``need``) and to lack (``avoid``), as families.  Their operands are
+    Believes-free, so the relation context already fixes these sets."""
+    need = avoid = 0
+    for body, believed in schedule.point:
+        bit = 1 << ctx.extension(body)
+        if believed:
+            need |= bit
+        else:
+            avoid |= bit
+    return need, avoid
+
+
+def _base_fault(
+    ctx: _Ctx, i: int, up: list[int], need: int = 0, avoid: int = 0
+) -> bool:
+    """True when world i's base family (see the module docstring) has a
+    frame fault or a member of ``avoid``, so that its menu is empty."""
+    forced = 1 << ctx.diag[SIGMA_NAME] if ctx.cfg.sigma else 0
+    base = _rb_closure(forced | need, i, ctx, up)
+    fault = next(ctx.faults(i, base, up, f"w{i}"), None)
+    return bool(base & avoid) or fault is not None
 
 
 def _family_menu(
@@ -371,6 +442,9 @@ def _family_menu(
     return menu
 
 
+RELATION, FAMILY = "relation steps", "family combinations"
+
+
 def iter_candidates(
     goals: Iterable[Formula],
     cfg: TheoryConfig,
@@ -396,28 +470,33 @@ def iter_candidates(
     instances: dict[ForAll, tuple[Formula, ...]] = {}
     operands = _believed_operands(goal_list, cfg, instances)
 
-    restricted = not cfg.sigma and not any(_nests(g, Supports) for g in goal_list)
+    # With no Supports nested in a goal, no relation-stage check reads a
+    # row other than the point's.
+    keyed = not any(_nests(g, Supports) for g in goal_list)
+    restricted = keyed and not cfg.sigma
     point_ready = not any(_nests(g, Believes) for g in goal_list)
-    schedule = _schedule(goal_list, active_reasons) if prune else _Schedule(False)
+    schedule = _Schedule(False)
+    if prune:
+        schedule = _schedule(goal_list, active_reasons, cfg, instances)
 
-    state = {"examined": 0, "worlds": 1}
+    done = dict.fromkeys((RELATION, FAMILY), 0)
+    polls = itertools.count()
+    n = 1
 
-    def tick() -> None:
-        state["examined"] += 1
+    def tick(kind: str) -> None:
+        done[kind] += 1
         if (
             deadline is not None
-            and state["examined"] % 128 == 0
+            and next(polls) % 128 == 0
             and time.monotonic() > deadline
         ):
+            counts = " and ".join(f"{count} {what}" for what, count in done.items())
             raise _OutOfTime(
-                f"stopped after {state['examined']} candidates, "
-                f"{state['worlds']} of {bounds.max_worlds} worlds"
+                f"stopped after {counts}, {n} of {bounds.max_worlds} worlds"
             )
 
     for n in range(1, bounds.max_worlds + 1):
-        state["worlds"] = n
         world_names = tuple(f"w{i}" for i in range(n))
-        base_options = _reason_options(n, restricted)
         up = [superset_family(row, n) for row in range(1 << n)]
         unfixed = (0,) * n
         letter_space = range(1 << len(active_letters))
@@ -432,44 +511,125 @@ def iter_candidates(
                     stage0 = _Ctx(cfg, n, letters, {}, {}, unfixed, instances)
                     if not all(stage0.extension(g) & 1 for g in schedule.valuation):
                         continue
-                menus = []
-                for name in active_reasons:
-                    goals_here = schedule.reasons.get(name)
-                    if goals_here:
-                        kept = []
-                        for opt in base_options:
-                            ctx = _Ctx(
-                                cfg, n, letters, {name: opt[0]}, {name: opt[1]},
-                                unfixed, instances,
-                            )
-                            if all(ctx.extension(g) & 1 for g in goals_here):
-                                kept.append(opt)
-                        menus.append(kept)
-                    else:
-                        menus.append(base_options)
-                for assignment in itertools.product(*menus):
-                    tick()
-                    rows = {
-                        name: list(assignment[k][0])
-                        for k, name in enumerate(active_reasons)
-                    }
-                    diag = {
-                        name: assignment[k][1]
-                        for k, name in enumerate(active_reasons)
-                    }
-                    for name in cfg.reasons:
-                        if name not in rows:
-                            rows[name] = [0] * n
-                            diag[name] = 0
-                    ctx = _Ctx(cfg, n, letters, rows, diag, unfixed, instances)
-                    if schedule.relations and not all(
-                        ctx.extension(g) & 1 for g in schedule.relations
-                    ):
-                        continue
+                walk = _relation_walk(
+                    cfg, n, letters, active_reasons, schedule, keyed, restricted,
+                    instances, up, tick,
+                )
+                for ctx in walk:
                     yield from _family_stage(
                         bounds, world_names, active_reasons, operands, ctx, up,
                         point_ready, schedule, tick,
                     )
+
+
+def _relation_walk(
+    cfg: TheoryConfig,
+    n: int,
+    letters: dict[str, int],
+    active: tuple[str, ...],
+    schedule: _Schedule,
+    keyed: bool,
+    restricted: bool,
+    instances: dict[ForAll, tuple[Formula, ...]],
+    up: list[int],
+    tick: Callable[[str], None],
+) -> Iterator[_Ctx]:
+    """The relation assignments that pass the relation stage, in order.
+
+    See the module docstring for the walk.  When ``keyed``, ``menus[k]``
+    holds reason k's keys that pass its own conjuncts, and ``ok(prefix,
+    i)`` says whether key i of ``menus[k]`` passes the checks at position
+    k + 1 after the keys ``prefix`` and has a completion; the answers are
+    kept per prefix in a bytearray: 0 unknown, 1 fails, 2 passes.
+    """
+    m, unfixed = len(active), (0,) * n
+
+    def context(named: dict[str, _Shape]) -> _Ctx:
+        rows = {name: [0] * n for name in cfg.reasons}
+        diag = dict.fromkeys(cfg.reasons, 0)
+        for name, (row_list, adequate) in named.items():
+            rows[name], diag[name] = row_list, adequate
+        return _Ctx(cfg, n, letters, rows, diag, unfixed, instances)
+
+    def holds(
+        named: dict[str, _Shape], goals: list[Formula], base: bool = False
+    ) -> bool:
+        if not goals and not base:
+            return True
+        tick(RELATION)
+        ctx = context(named)
+        return all(ctx.extension(g) & 1 for g in goals) and not (
+            base and _base_fault(ctx, 0, up, *_point_sets(schedule, ctx))
+        )
+
+    def passes(shapes: list[_Shape], goals: list[Formula]) -> bool:
+        k = len(shapes)
+        goals = [*goals, *schedule.relations.get(k, [])]
+        return holds(dict(zip(active, shapes)), goals, k == m and schedule.prune)
+
+    own = [schedule.reasons.get(name, []) for name in active]
+    if not passes([], []):
+        return
+    if keyed:
+        keys = [(row, d) for row in range(1 << n) for d in range(row & 1, 1 << n, 2)]
+        stand_in = {key: _shape(n, key) for key in keys}
+        menus = [
+            [key for key in keys if holds({active[k]: stand_in[key]}, own[k])]
+            for k in range(m)
+        ]
+        if not all(menus):
+            return
+        index = [{key: i for i, key in enumerate(menu)} for menu in menus]
+        memo: dict[tuple[tuple[int, int], ...], bytearray] = {}
+
+        def ok(prefix: tuple[tuple[int, int], ...], i: int) -> bool:
+            k = len(prefix)
+            state = memo.get(prefix)
+            if state is None:
+                state = memo[prefix] = bytearray(len(menus[k]))
+            if not state[i]:
+                chosen = (*prefix, menus[k][i])
+                last = k + 1 == m
+                state[i] = 1 + (
+                    passes([stand_in[key] for key in chosen], [])
+                    and (last or any(ok(chosen, j) for j in range(len(menus[k + 1]))))
+                )
+            return state[i] == 2
+
+    elif not all(
+        any(
+            holds({name: shape}, goals)
+            for row in range(1 << n)
+            for shape in _shapes(n, restricted, row)
+        )
+        for name, goals in zip(active, own)
+    ):
+        return
+
+    def walk(prefix: tuple, shapes: list[_Shape]) -> Iterator[_Ctx]:
+        k = len(shapes)
+        if k == m:
+            yield context(dict(zip(active, shapes)))
+            return
+        for row in range(1 << n):
+            if keyed:
+                lo = bisect.bisect_left(menus[k], (row,))
+                hi = bisect.bisect_left(menus[k], (row + 1,))
+                if not any(ok(prefix, i) for i in range(lo, hi)):
+                    tick(RELATION)
+                    continue
+            for shape in _shapes(n, restricted, row):
+                tick(RELATION)
+                key = (row, shape[1])
+                if keyed:
+                    i = index[k].get(key)
+                    if i is None or not ok(prefix, i):
+                        continue
+                elif not passes([*shapes, shape], own[k]):
+                    continue
+                yield from walk((*prefix, key), [*shapes, shape])
+
+    yield from walk((), [])
 
 
 def _family_stage(
@@ -481,11 +641,13 @@ def _family_stage(
     up: list[int],
     point_ready: bool,
     schedule: _Schedule,
-    tick: Callable[[], None],
+    tick: Callable[[str], None],
 ) -> Iterator[tuple[Model, str]]:
     """The candidates of one relation assignment ``ctx``, one family per world.
 
-    The point's menu comes first and keeps only the families that decide
+    The relation walk has already checked the point's base family; a base
+    fault at another world ends the assignment before any menu is built.
+    The point's menu comes next and keeps only the families that decide
     the schedule's belief literals the way the goals ask, so an empty menu
     ends the assignment before the other worlds' menus and the product.
     The staged check then evaluates, on each combination of families, just
@@ -493,19 +655,12 @@ def _family_stage(
     a candidate and no staged context is built.
     """
     cfg, n, diag = ctx.cfg, ctx.n, ctx.diag
+    prune = schedule.prune
+    if prune and any(_base_fault(ctx, i, up) for i in range(1, n)):
+        return
     forced = 1 << diag[SIGMA_NAME] if cfg.sigma else 0
     pool = _seed_pool(active, diag, operands, ctx)
-    # The point's belief literals ask for every world set in ``need`` and
-    # none in ``avoid`` as members of N(w0).  Their operands are Believes-
-    # free, so the relation context already fixes these sets.
-    need = avoid = 0
-    for body, believed in schedule.point:
-        bit = 1 << ctx.extension(body)
-        if believed:
-            need |= bit
-        else:
-            avoid |= bit
-    prune = schedule.prune
+    need, avoid = _point_sets(schedule, ctx)
     point_menu = _family_menu(
         bounds, pool, ctx, up, 0, world_names[0], forced, prune, need, avoid
     )
@@ -524,7 +679,7 @@ def _family_stage(
         menus.append(menu)
     staged = schedule.staged
     for combo in itertools.product(*menus):
-        tick()
+        tick(FAMILY)
         if staged:
             at = _Ctx(cfg, n, ctx.letters, ctx.rows, diag, combo, ctx.instances)
             if not all(at.extension(g) & 1 for g in staged):

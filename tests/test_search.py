@@ -228,15 +228,46 @@ def test_seed_operands_are_the_quantifier_instances():
 
 
 def test_budget_signal_carries_progress():
-    # The deadline is polled every 128 candidates, so an already-expired
-    # budget stops at the first poll of a witness-free walk.
+    # The deadline is polled at the first step and every 128th after it,
+    # so an already-expired budget stops at the first step of any walk.
     out = check_nonvalidity(
         parse("sigma:p -> B p", RBBS),
         RBBS,
         SearchBounds(max_worlds=3, budget_secs=1e-9),
     )
     assert isinstance(out, BudgetExceeded)
-    assert out.progress.startswith("stopped after 128 candidates")
+    assert out.progress == (
+        "stopped after 1 relation steps and 0 family combinations, 1 of 3 worlds"
+    )
+
+
+@pytest.mark.parametrize(
+    "theory,text,worlds",
+    [("RBBs", "B r & r:p -> sigma:p", 4), ("QRBBs", "(A t. t:p) -> sigma:p", 3)],
+)
+def test_sigma_axiom_probes_are_decided(theory, text, worlds):
+    # (mr) needs sigma(w0) inside r(w0), which r:p and ~sigma:p forbid, so
+    # the relation walk's base check rules out each key pair at once; the
+    # instance sigma:p of the quantifier empties sigma's menu.
+    cfg = TheoryConfig.from_name(theory, ("r", "s"), ("p", "q"))
+    bounds = SearchBounds(max_worlds=worlds, budget_secs=30.0)
+    assert isinstance(check_nonvalidity(parse(text, cfg), cfg, bounds), Exhausted)
+
+
+def test_five_worlds_stay_within_the_budget():
+    # An unrestricted reason has 32^5 shapes at five worlds.  The walk makes
+    # them one point row at a time and polls the budget as it goes, so it
+    # neither runs out of memory nor overruns the budget.
+    bounds = SearchBounds(max_worlds=5, budget_secs=0.5)
+    t0 = time.perf_counter()
+    out = check_nonvalidity(parse("B sigma", RBBS), RBBS, bounds)
+    assert isinstance(out, Exhausted)
+    assert time.perf_counter() - t0 < 1.5
+    t0 = time.perf_counter()
+    # A contradiction whose one reason reads all its own rows: no key decides it.
+    goals = [parse("sigma:(sigma:sigma)", RBBS), parse("~sigma:(sigma:sigma)", RBBS)]
+    assert isinstance(find_model(goals, RBBS, bounds), (Exhausted, BudgetExceeded))
+    assert time.perf_counter() - t0 < 1.5
 
 
 def test_find_models_limit():
@@ -283,10 +314,14 @@ def test_unpruned_candidate_counts(text, cfg, expected):
 
 # Goal sets for the pruning oracle: top-level B and ~B literals, a B and
 # a ~B of the same set, nested belief, Supports and quantifiers inside the
-# operand, and a valid sigma axiom whose negation has no model.  The last
+# operand, and a valid sigma axiom whose negation has no model.  The next
 # three reach the stages the others miss: a two-reason conjunct at the
 # relation assignment, an equation at the valuation, and a quantifier whose
-# instances need no model part at all.
+# instances need no model part at all.  The last five meet the relation
+# walk's base check: (mr) with witnesses (the valid (mr) set is the
+# eighth), the (ma) conflict, sigma's adequacy with ~sigma:p, a top-level
+# quantifier whose instances are belief literals, and a belief operand
+# that reads the non-point rows of a reason the walk fixes before sigma.
 PRUNING_CASES = [
     ("RBB", ("r",), ("p", "q"), ("B p", "~B q")),
     ("RBB", ("r",), ("p", "q"), ("B (p | q)", "~B p", "~p")),
@@ -302,6 +337,11 @@ PRUNING_CASES = [
     ("RBB", ("r", "s"), ("p",), ("r:p | s:p", "~r:p", "B p")),
     ("QRBB", ("r", "s"), ("p",), ("r != s", "B (r:p)", "~s")),
     ("QRBB", ("r", "s"), ("p",), ("A t. t = t", "~B p", "r")),
+    ("RBBs", ("r",), ("p", "q"), ("B r", "r:p", "~sigma:q")),
+    ("RBBs", ("r",), ("p",), ("sigma", "B r", "~r")),
+    ("RBBs", ("r",), ("p",), ("sigma", "B r", "~sigma:p")),
+    ("QRBB", ("r", "s"), ("p",), ("A t. ~B t", "B p", "E t. t")),
+    ("RBBs", ("r",), ("p",), ("B (r:p)", "~B (sigma:p)")),
 ]
 
 
