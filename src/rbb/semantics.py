@@ -23,7 +23,10 @@ family (belief is false there), and shares one memo of quantifier
 instances across a whole search.  The public functions build a context
 from a Model that keeps each family as a set of world-set masks, since an
 integer over world sets has 2^n bits; `validate_model`, which caps the
-world count, turns them into integers for the checker.  The App variant
+world count, turns them into integers for the checker.  A Model encodes
+itself once and keeps the encoding, so `validate_model` and every
+`satisfies` or `extension` call on the same model share it; each call
+still gets a fresh context with its own memo.  The App variant
 gets no semantics here, matching its proof-theoretic-only status.
 """
 
@@ -44,11 +47,9 @@ from .syntax import (
     Letter,
     Not,
     Or,
+    Reason,
     Supports,
-    formula_letters,
-    free_reasons,
     is_free_for,
-    subformulas,
     substitute,
     term_name,
 )
@@ -85,7 +86,9 @@ class Model:
 
     Equality and hashing go through a canonical key, so two models built
     from differently-ordered inputs compare equal when they describe the
-    same structure.
+    same structure.  A model caches that key and its bitmask encoding the
+    first time they are needed, so mutating its mappings after construction
+    is unsupported: the caches would go on describing the old structure.
     """
 
     worlds: tuple[str, ...]
@@ -106,6 +109,43 @@ class Model:
             ),
             tuple(sorted((w, tuple(sorted(v))) for w, v in self.valuation.items())),
         )
+
+    @cached_property
+    def _masks(self) -> tuple:
+        """``(n, letters, rows, diag, families)``, the encoding :class:`_Ctx` reads.
+
+        World i is bit i.  ``letters`` maps a letter to the worlds where it is
+        true, ``rows[r]`` is the tuple of r(w_i) and ``diag[r]`` is r°, and
+        ``families[i]`` is N(w_i) as a frozenset of world-set masks.  Every
+        context of this model shares these parts and none writes them.
+        """
+        index = {w: i for i, w in enumerate(self.worlds)}
+        n = len(self.worlds)
+        rows: dict[str, tuple[int, ...]] = {}
+        diag: dict[str, int] = {}
+        for reason, pairs in self.access.items():
+            row = [0] * n
+            adequate = 0
+            for a, b in pairs:
+                row[index[a]] |= 1 << index[b]
+                if a == b:
+                    adequate |= 1 << index[a]
+            rows[reason] = tuple(row)
+            diag[reason] = adequate
+        letters: dict[str, int] = {}
+        for w, true in self.valuation.items():
+            for letter in true:
+                letters[letter] = letters.get(letter, 0) | 1 << index[w]
+        families = []
+        for w in self.worlds:
+            family = set()
+            for x in self.neighborhoods[w]:
+                mask = 0
+                for member in x:
+                    mask |= 1 << index[member]
+                family.add(mask)
+            families.append(frozenset(family))
+        return n, letters, rows, diag, tuple(families)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Model) and self._key == other._key
@@ -174,36 +214,71 @@ def reflexive_worlds(model: Model, reason: str) -> frozenset[str]:
     return frozenset(a for a, b in model.access[reason] if a == b)
 
 
+_QUANTIFIED_ONLY = "quantifiers and equations live in the quantified theories"
+
+
+def _add_free(terms: Sequence[Reason], bound: frozenset[str], out: set[str]) -> None:
+    """Add the names of ``terms`` not in ``bound`` to ``out``; refuse App terms."""
+    for term in terms:
+        if isinstance(term, App):
+            raise AppSemanticsUndefined(
+                "compound reason terms have no satisfaction clause"
+            )
+        name = term_name(term)
+        if name not in bound:
+            out.add(name)
+
+
 def ensure_in_language(formula: Formula, cfg: TheoryConfig) -> None:
     """Reject formulas outside the declared alphabets before evaluation.
 
     Free reason occurrences and letters must be declared; bound variables
     are exempt (a binder may rename any symbol).  Compound App terms are
     refused outright since they have no satisfaction clause.
+
+    One preorder walk over the formula decides, and the error it raises
+    follows a fixed, tested precedence: the App variant as a whole; then the
+    first structural fault in preorder, which is an App term or a quantifier
+    or equation outside the quantified theories; then the least undeclared
+    letter; then the least undeclared free reason.
     """
     if cfg.app:
         raise AppSemanticsUndefined("the App variant has no model semantics")
-    for sub in subformulas(formula):
-        if isinstance(sub, (Supports, Adequate)):
-            if isinstance(sub.reason, App):
-                raise AppSemanticsUndefined(
-                    "compound reason terms have no satisfaction clause"
-                )
-        if isinstance(sub, (ForAll, Eq)) and not cfg.quantified:
-            raise UnknownSymbol(
-                "quantifiers and equations live in the quantified theories"
-            )
-        if isinstance(sub, Eq):
-            if isinstance(sub.left, App) or isinstance(sub.right, App):
-                raise AppSemanticsUndefined(
-                    "compound reason terms have no satisfaction clause"
-                )
-    bad_letter = formula_letters(formula) - set(cfg.letters)
+    letters: set[str] = set()
+    reasons: set[str] = set()
+    stack: list[tuple[Formula, frozenset[str]]] = [(formula, frozenset())]
+    while stack:
+        f, bound = stack.pop()
+        # Syntax nodes are never subclassed, so the exact type decides.
+        kind = type(f)
+        if kind is Not or kind is Believes:
+            stack.append((f.sub, bound))
+        elif kind is Or:
+            stack.append((f.right, bound))
+            stack.append((f.left, bound))
+        elif kind is Letter:
+            letters.add(f.name)
+        elif kind is Supports:
+            _add_free((f.reason,), bound, reasons)
+            stack.append((f.sub, bound))
+        elif kind is Adequate:
+            _add_free((f.reason,), bound, reasons)
+        elif kind is Eq:
+            if not cfg.quantified:
+                raise UnknownSymbol(_QUANTIFIED_ONLY)
+            _add_free((f.left, f.right), bound, reasons)
+        elif kind is ForAll:
+            if not cfg.quantified:
+                raise UnknownSymbol(_QUANTIFIED_ONLY)
+            stack.append((f.sub, bound | {f.var}))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    bad_letter = letters - set(cfg.letters)
     if bad_letter:
-        raise UnknownSymbol(f"undeclared letter {sorted(bad_letter)[0]!r}")
-    bad_reason = free_reasons(formula) - set(cfg.reasons)
+        raise UnknownSymbol(f"undeclared letter {min(bad_letter)!r}")
+    bad_reason = reasons - set(cfg.reasons)
     if bad_reason:
-        raise UnknownSymbol(f"undeclared reason {sorted(bad_reason)[0]!r}")
+        raise UnknownSymbol(f"undeclared reason {min(bad_reason)!r}")
 
 
 def superset_family(row: int, n: int) -> int:
@@ -276,7 +351,7 @@ class _Ctx:
         cfg: TheoryConfig,
         n: int,
         letters: Mapping[str, int],
-        rows: Mapping[str, list[int]],
+        rows: Mapping[str, Sequence[int]],
         diag: Mapping[str, int],
         families: Sequence[int] | Sequence[frozenset[int]],
         instances: dict[ForAll, tuple[Formula, ...]],
@@ -293,33 +368,8 @@ class _Ctx:
 
     @classmethod
     def of_model(cls, model: Model, cfg: TheoryConfig) -> _Ctx:
-        index = {w: i for i, w in enumerate(model.worlds)}
-        n = len(model.worlds)
-        rows: dict[str, list[int]] = {}
-        diag: dict[str, int] = {}
-        for reason, pairs in model.access.items():
-            row = [0] * n
-            adequate = 0
-            for a, b in pairs:
-                row[index[a]] |= 1 << index[b]
-                if a == b:
-                    adequate |= 1 << index[a]
-            rows[reason] = row
-            diag[reason] = adequate
-        letters: dict[str, int] = {}
-        for w, true in model.valuation.items():
-            for letter in true:
-                letters[letter] = letters.get(letter, 0) | 1 << index[w]
-        families = []
-        for w in model.worlds:
-            family = set()
-            for x in model.neighborhoods[w]:
-                mask = 0
-                for member in x:
-                    mask |= 1 << index[member]
-                family.add(mask)
-            families.append(frozenset(family))
-        return _ModelCtx(cfg, n, letters, rows, diag, families, {})
+        """A fresh context, with its own memos, over the model's cached encoding."""
+        return _ModelCtx(cfg, *model._masks, {})
 
     def believers(self, x: int) -> int:
         """The worlds whose family has the world set x."""

@@ -273,17 +273,20 @@ def as_neq(formula: Formula) -> tuple[AtomicReason, AtomicReason] | None:
 
 
 def subformulas(formula: Formula) -> Iterator[Formula]:
-    """Preorder traversal of all subformulas, the formula itself included."""
-    yield formula
-    if isinstance(formula, Not):
-        yield from subformulas(formula.sub)
-    elif isinstance(formula, Or):
-        yield from subformulas(formula.left)
-        yield from subformulas(formula.right)
-    elif isinstance(formula, (Supports, Believes)):
-        yield from subformulas(formula.sub)
-    elif isinstance(formula, ForAll):
-        yield from subformulas(formula.sub)
+    """Preorder traversal of all subformulas, the formula itself included.
+
+    The walk keeps an explicit stack, so formulas of any depth are visited
+    without recursion; the right operand is pushed first to keep preorder.
+    """
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        yield f
+        if isinstance(f, Or):
+            stack.append(f.right)
+            stack.append(f.left)
+        elif isinstance(f, (Not, Supports, Believes, ForAll)):
+            stack.append(f.sub)
 
 
 def formula_letters(formula: Formula) -> frozenset[str]:
@@ -298,29 +301,26 @@ def free_reasons(formula: Formula) -> frozenset[str]:
     Letters are never reason occurrences, even under a shared alphabet.
     """
     out: set[str] = set()
-
-    def walk(f: Formula, bound: frozenset[str]) -> None:
+    stack: list[tuple[Formula, frozenset[str]]] = [(formula, frozenset())]
+    while stack:
+        f, bound = stack.pop()
         if isinstance(f, Letter):
-            return
-        if isinstance(f, Not):
-            walk(f.sub, bound)
-        elif isinstance(f, Or):
-            walk(f.left, bound)
-            walk(f.right, bound)
+            continue
+        if isinstance(f, Or):
+            stack.append((f.right, bound))
+            stack.append((f.left, bound))
+        elif isinstance(f, (Not, Believes)):
+            stack.append((f.sub, bound))
         elif isinstance(f, Supports):
             out.update(term_symbols(f.reason) - bound)
-            walk(f.sub, bound)
+            stack.append((f.sub, bound))
         elif isinstance(f, Adequate):
             out.update(term_symbols(f.reason) - bound)
-        elif isinstance(f, Believes):
-            walk(f.sub, bound)
         elif isinstance(f, Eq):
             out.update(term_symbols(f.left) - bound)
             out.update(term_symbols(f.right) - bound)
         else:
-            walk(f.sub, bound | {f.var})
-
-    walk(formula, frozenset())
+            stack.append((f.sub, bound | {f.var}))
     return frozenset(out)
 
 

@@ -1,6 +1,9 @@
 import collections
+import functools
 import itertools
+import pickle
 import random
+from copy import deepcopy
 
 import pytest
 
@@ -223,6 +226,124 @@ def test_app_terms_have_no_semantics():
         ensure_in_language(Supports(App(R, S), P), BASE)
 
 
+# The three-walk language check that the one-pass `ensure_in_language`
+# replaced, kept as its oracle together with the recursive walks it used.
+
+
+def _preorder(f):
+    yield f
+    if isinstance(f, Or):
+        yield from _preorder(f.left)
+        yield from _preorder(f.right)
+    elif isinstance(f, (Not, Supports, Believes, ForAll)):
+        yield from _preorder(f.sub)
+
+
+def _symbols(term):
+    if isinstance(term, App):
+        return _symbols(term.left) | _symbols(term.right)
+    return {term_name(term)}
+
+
+def _free(f, bound=frozenset()):
+    if isinstance(f, Letter):
+        return set()
+    if isinstance(f, (Not, Believes)):
+        return _free(f.sub, bound)
+    if isinstance(f, Or):
+        return _free(f.left, bound) | _free(f.right, bound)
+    if isinstance(f, Supports):
+        return (_symbols(f.reason) - bound) | _free(f.sub, bound)
+    if isinstance(f, Adequate):
+        return _symbols(f.reason) - bound
+    if isinstance(f, Eq):
+        return (_symbols(f.left) | _symbols(f.right)) - bound
+    return _free(f.sub, bound | {f.var})
+
+
+def three_walk_check(formula, cfg):
+    if cfg.app:
+        raise AppSemanticsUndefined("the App variant has no model semantics")
+    for sub in _preorder(formula):
+        if isinstance(sub, (Supports, Adequate)) and isinstance(sub.reason, App):
+            raise AppSemanticsUndefined(
+                "compound reason terms have no satisfaction clause"
+            )
+        if isinstance(sub, (ForAll, Eq)) and not cfg.quantified:
+            raise UnknownSymbol(
+                "quantifiers and equations live in the quantified theories"
+            )
+        if isinstance(sub, Eq) and (
+            isinstance(sub.left, App) or isinstance(sub.right, App)
+        ):
+            raise AppSemanticsUndefined(
+                "compound reason terms have no satisfaction clause"
+            )
+    letters = {f.name for f in _preorder(formula) if isinstance(f, Letter)}
+    bad_letter = letters - set(cfg.letters)
+    if bad_letter:
+        raise UnknownSymbol(f"undeclared letter {sorted(bad_letter)[0]!r}")
+    bad_reason = _free(formula) - set(cfg.reasons)
+    if bad_reason:
+        raise UnknownSymbol(f"undeclared reason {sorted(bad_reason)[0]!r}")
+
+
+def _outcome(check, formula, cfg):
+    try:
+        check(formula, cfg)
+    except (UnknownSymbol, AppSemanticsUndefined) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _wild_formula(rng, depth):
+    """A formula that may leave any theory's language, in every way at once.
+
+    Names mix declared reasons, undeclared ones and sigma; binders reuse
+    declared and undeclared names; App terms appear in every reason position
+    and equations appear whatever the theory.
+    """
+
+    def term():
+        if rng.random() < 0.08:
+            return App(atom_term(rng.choice("rt")), atom_term(rng.choice("sz")))
+        return atom_term(rng.choice(("r", "s", "t", "z", "sigma")))
+
+    leaf = rng.random()
+    if depth == 0 or leaf < 0.15:
+        return Letter(rng.choice("pqpqm")) if leaf < 0.1 else Adequate(term())
+    roll = rng.random()
+    if roll < 0.15:
+        return Not(_wild_formula(rng, depth - 1))
+    if roll < 0.45:
+        return Or(_wild_formula(rng, depth - 1), _wild_formula(rng, depth - 1))
+    if roll < 0.6:
+        return Supports(term(), _wild_formula(rng, depth - 1))
+    if roll < 0.7:
+        return Believes(_wild_formula(rng, depth - 1))
+    if roll < 0.78:
+        return Eq(term(), term())
+    return ForAll(rng.choice(("r", "s", "t", "z", "u")), _wild_formula(rng, depth - 1))
+
+
+def test_language_check_matches_the_three_walk_oracle():
+    rng = random.Random(20261018)
+    configs = [
+        TheoryConfig.from_name(name, ("r", "s"), ("p", "q"))
+        for name in ("RBB", "QRBB", "QRBBs+", "RBB+App")
+    ]
+    verdicts = collections.Counter()
+    for _ in range(10000):
+        formula = _wild_formula(rng, rng.randint(1, 6))
+        for cfg in configs:
+            expected = _outcome(three_walk_check, formula, cfg)
+            assert _outcome(ensure_in_language, formula, cfg) == expected, formula
+            # The message without the symbol it names, or None when accepted.
+            verdicts[expected and expected[1].partition(" '")[0]] += 1
+    # All six verdicts are common, so a change of precedence shows.
+    assert len(verdicts) == 6 and min(verdicts.values()) > 500, verdicts
+
+
 def test_evaluation_requires_declared_relations():
     m = make_model(["w0"], {"r": []})
     with pytest.raises(UnknownReason):
@@ -262,6 +383,53 @@ def test_model_equality_ignores_input_order():
         {"w0": ["q", "p"]},
     )
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.fixture
+def mask_builds(monkeypatch):
+    """The models whose bitmask encoding gets built, one entry per build."""
+    builds = []
+    encode = Model._masks.func
+
+    def counted(model):
+        builds.append(model)
+        return encode(model)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Model, "_masks")
+    monkeypatch.setattr(Model, "_masks", prop)
+    return builds
+
+
+def test_a_model_is_encoded_once(mask_builds):
+    m = tiny()
+    assert validate_model(m, BASE).ok
+    for w in m.worlds:
+        satisfies(m, w, Believes(P), BASE)
+        satisfies(m, w, ForAll("t", Supports(atom_term("t"), P)), QUANT)
+    assert extension(m, Supports(R, P), BASE) == {"w0", "w1"}
+    assert mask_builds == [m]
+
+
+def test_search_encodes_each_candidate_once(mask_builds):
+    goals = [Believes(P), Not(Adequate(R)), Supports(S, Q)]
+    found, _ = rbb.find_models(goals, BASE, rbb.SearchBounds(max_worlds=2), limit=3)
+    assert len(found) == 3
+    # Each re-checked candidate is encoded once, for validation and all goals.
+    assert len(mask_builds) == len({id(m) for m in mask_builds}) >= 3
+
+
+def test_an_encoded_model_still_compares_and_copies():
+    m = tiny()
+    goal = Or(Believes(P), Supports(S, Q))
+    answers = [satisfies(m, w, goal, BASE) for w in m.worlds]
+    assert "_masks" in vars(m)
+    fresh = tiny()
+    assert m == fresh and hash(m) == hash(fresh)
+    for copy in (pickle.loads(pickle.dumps(m)), deepcopy(m)):
+        assert copy == m and hash(copy) == hash(m)
+        assert [satisfies(copy, w, goal, BASE) for w in m.worlds] == answers
+        assert validate_model(copy, BASE) == validate_model(m, BASE)
 
 
 def test_doc_round_trip_preserves_the_model(base_corpus):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from corpus import class_config, random_formula
 from rbb.parser import parse, print_formula
+from rbb.semantics import UnknownSymbol, ensure_in_language
 from rbb.syntax import (
     SIGMA,
     App,
@@ -43,6 +44,7 @@ from rbb.syntax import (
     term_name,
     term_symbols,
 )
+from rbb.theory import TheoryConfig
 
 P = Letter("p")
 Q = Letter("q")
@@ -114,6 +116,25 @@ def test_subformulas_visits_every_node_once():
     assert P in seen
     assert Believes(Adequate(R)) in seen
     assert len(seen) == len(set(seen))
+
+
+def test_subformulas_is_preorder():
+    f = Or(Not(P), Supports(R, ForAll("t", Q)))
+    assert list(subformulas(f)) == [
+        f, Not(P), P, Supports(R, ForAll("t", Q)), ForAll("t", Q), Q
+    ]
+
+
+def test_walks_answer_a_formula_of_10000_conjuncts():
+    # Far deeper than the interpreter's recursion limit.
+    deep = conj(*[P] * 9999, Supports(R, Adequate(S)))
+    assert sum(1 for _ in subformulas(deep)) == 5 * 10_000 - 3
+    assert formula_letters(deep) == {"p"}
+    assert free_reasons(deep) == {"r", "s"}
+    cfg = TheoryConfig.from_name("RBB", ("r", "s"), ("p",))
+    ensure_in_language(deep, cfg)
+    with pytest.raises(UnknownSymbol, match="undeclared letter 'q'"):
+        ensure_in_language(Or(deep, Q), cfg)
 
 
 def test_formula_letters_ignores_reasons():
