@@ -256,11 +256,17 @@ def _just_to_doc(just: Justification) -> dict:
     return {"cite": just.name}
 
 
+def _index(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"a step index must be a JSON integer, got {value!r}")
+    return value
+
+
 def _just_from_doc(doc: dict, cfg: TheoryConfig) -> Justification:
     from .parser import ParseError, parse
     from .syntax import Adequate
 
-    if len(doc) != 1:
+    if not isinstance(doc, dict) or len(doc) != 1:
         raise ValueError(f"malformed justification {doc!r}")
     kind, value = next(iter(doc.items()))
     if kind == "axiom":
@@ -270,7 +276,7 @@ def _just_from_doc(doc: dict, cfg: TheoryConfig) -> Justification:
             raise ValueError(f"unknown scheme {value!r}") from None
     if kind == "mp":
         i, j = value
-        return MP(int(i), int(j))
+        return MP(_index(i), _index(j))
     if kind == "rn":
         i, text = value
         try:
@@ -279,12 +285,12 @@ def _just_from_doc(doc: dict, cfg: TheoryConfig) -> Justification:
             raise ValueError(f"bad reason in rn: {exc}") from None
         if not isinstance(atom, Adequate):
             raise ValueError(f"rn needs a reason term, got {text!r}")
-        return RN(int(i), atom.reason)
+        return RN(_index(i), atom.reason)
     if kind == "e":
-        return E(int(value))
+        return E(_index(value))
     if kind == "gen":
         i, var = value
-        return Gen(int(i), str(var))
+        return Gen(_index(i), str(var))
     if kind == "cite":
         return Cite(str(value))
     raise ValueError(f"unknown justification kind {kind!r}")
@@ -309,11 +315,20 @@ def proof_to_doc(proof: Proof) -> dict:
 
 
 def proof_from_doc(doc: dict) -> Proof:
+    """The inverse of :func:`proof_to_doc`; any other JSON shape is a ValueError."""
     from .parser import parse
 
-    cfg = TheoryConfig.from_doc(doc["theory"])
-    steps = tuple(
-        ProofStep(int(s["i"]), parse(s["f"], cfg), _just_from_doc(s["by"], cfg))
-        for s in doc["steps"]
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("a proof document must be a JSON object")
+    cfg = TheoryConfig.from_doc(doc.get("theory"))
+    if not isinstance(doc.get("goal"), str):
+        raise ValueError("proof field 'goal' must be a string")
+    if not isinstance(doc.get("steps"), list):
+        raise ValueError("proof field 'steps' must be a JSON array")
+    steps = []
+    for pos, s in enumerate(doc["steps"], start=1):
+        if not isinstance(s, dict) or not isinstance(s.get("f"), str):
+            raise ValueError(f"proof step {pos} needs a string field 'f'")
+        i, f = _index(s.get("i")), parse(s["f"], cfg)
+        steps.append(ProofStep(i, f, _just_from_doc(s.get("by"), cfg)))
     return Proof(cfg, str(doc.get("name", "")), parse(doc["goal"], cfg), steps)

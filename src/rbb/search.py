@@ -29,8 +29,8 @@ are enumerated at every world from the same seed pool.
 The quick checks evaluate goals on raw masks with the evaluator the
 public functions use, :class:`~rbb.semantics._Ctx`, so the satisfaction
 clauses are written down once.  Goal analysis happens once per search: the
-Believes operands that seed the families are collected up front, and one
-memo of quantifier instances serves every context the search builds.
+Believes operands that seed the families are collected up front.  Quantifier
+instances, here and in every context, come from :func:`~rbb.syntax.instances`.
 
 One schedule, built by `_schedule`, puts each goal conjunct into exactly
 one stage, the first in walk order that fixes its value at the point, and
@@ -96,7 +96,6 @@ from .parser import print_formula
 from .semantics import (
     Model,
     _Ctx,
-    _instances,
     ensure_in_language,
     make_model,
     model_to_doc,
@@ -115,6 +114,7 @@ from .syntax import (
     Supports,
     formula_letters,
     free_reasons,
+    instances,
     subformulas,
 )
 from .theory import TheoryConfig
@@ -136,8 +136,8 @@ class SearchBounds:
             raise ValueError(f"max_worlds must be in 1..{MAX_WORLDS_CAP}")
         if not 0 <= self.max_seeds <= MAX_SEEDS_CAP:
             raise ValueError(f"max_seeds must be in 0..{MAX_SEEDS_CAP}")
-        if self.budget_secs is not None and self.budget_secs <= 0:
-            raise ValueError("budget_secs must be positive when given")
+        if self.budget_secs is not None and not self.budget_secs > 0:  # NaN too
+            raise ValueError("budget_secs must be a positive number when given")
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,7 @@ def _shapes(n: int, restricted: bool, point_row: int) -> Iterator[_Shape]:
 
 
 def _believed_operands(
-    goal_list: tuple[Formula, ...],
-    cfg: TheoryConfig,
-    instances: dict[ForAll, tuple[Formula, ...]],
+    goal_list: tuple[Formula, ...], cfg: TheoryConfig
 ) -> tuple[Formula, ...]:
     """The formulas whose extensions seed the neighborhood families.
 
@@ -288,8 +286,8 @@ def _believed_operands(
     and the forced sigma seed are the one complete pool: any valid witness
     family can be cut down to its intersection with this pool plus closure
     without disturbing a goal or a frame property.  Quantifiers contribute
-    the operands of the instances the evaluator builds, drawn from (and
-    left in) the shared ``instances`` memo.
+    the operands of the instances the evaluator reads, which
+    :func:`~rbb.syntax.instances` builds for both.
     Operands that themselves contain Believes are skipped; their extensions
     cannot be fixed ahead of the family assignment, and families outside
     the pool are already outside the advertised search space.
@@ -298,7 +296,7 @@ def _believed_operands(
 
     def walk(f: Formula) -> None:
         if isinstance(f, ForAll):
-            for inst in _instances(f, cfg, instances):
+            for inst in instances(f, cfg.reasons):
                 walk(inst)
             return
         if isinstance(f, Believes) and not _mentions(f.sub, (Believes,)):
@@ -345,10 +343,7 @@ class _Schedule:
 
 
 def _schedule(
-    goal_list: tuple[Formula, ...],
-    active: tuple[str, ...],
-    cfg: TheoryConfig,
-    instances: dict[ForAll, tuple[Formula, ...]],
+    goal_list: tuple[Formula, ...], active: tuple[str, ...], cfg: TheoryConfig
 ) -> _Schedule:
     """Put each conjunct into the first stage that fixes its value."""
     out = _Schedule(True)
@@ -358,8 +353,7 @@ def _schedule(
         if isinstance(g, ForAll):
             # It holds at the point exactly when each of its instances does,
             # so their conjuncts join the list being walked.
-            insts = _instances(g, cfg, instances)
-            goals.extend(c for inst in insts for c in _conjuncts(inst))
+            goals.extend(c for inst in instances(g, cfg.reasons) for c in _conjuncts(inst))
         elif not _mentions(g, (Supports, Adequate, Believes)):
             out.valuation.append(g)
         elif not _mentions(g, (Believes,)):
@@ -467,8 +461,7 @@ def iter_candidates(
         split.update(_conjuncts(goal))
     goal_list = tuple(sorted(split, key=print_formula))
     active_reasons, active_letters = _active_alphabets(goal_list, cfg, bounds)
-    instances: dict[ForAll, tuple[Formula, ...]] = {}
-    operands = _believed_operands(goal_list, cfg, instances)
+    operands = _believed_operands(goal_list, cfg)
 
     # With no Supports nested in a goal, no relation-stage check reads a
     # row other than the point's.
@@ -477,7 +470,7 @@ def iter_candidates(
     point_ready = not any(_nests(g, Believes) for g in goal_list)
     schedule = _Schedule(False)
     if prune:
-        schedule = _schedule(goal_list, active_reasons, cfg, instances)
+        schedule = _schedule(goal_list, active_reasons, cfg)
 
     done = dict.fromkeys((RELATION, FAMILY), 0)
     polls = itertools.count()
@@ -508,12 +501,12 @@ def iter_candidates(
                         if mask >> j & 1:
                             letters[name] |= 1 << i
                 if schedule.valuation:
-                    stage0 = _Ctx(cfg, n, letters, {}, {}, unfixed, instances)
+                    stage0 = _Ctx(cfg, n, letters, {}, {}, unfixed)
                     if not all(stage0.extension(g) & 1 for g in schedule.valuation):
                         continue
                 walk = _relation_walk(
                     cfg, n, letters, active_reasons, schedule, keyed, restricted,
-                    instances, up, tick,
+                    up, tick,
                 )
                 for ctx in walk:
                     yield from _family_stage(
@@ -530,7 +523,6 @@ def _relation_walk(
     schedule: _Schedule,
     keyed: bool,
     restricted: bool,
-    instances: dict[ForAll, tuple[Formula, ...]],
     up: list[int],
     tick: Callable[[str], None],
 ) -> Iterator[_Ctx]:
@@ -549,7 +541,7 @@ def _relation_walk(
         diag = dict.fromkeys(cfg.reasons, 0)
         for name, (row_list, adequate) in named.items():
             rows[name], diag[name] = row_list, adequate
-        return _Ctx(cfg, n, letters, rows, diag, unfixed, instances)
+        return _Ctx(cfg, n, letters, rows, diag, unfixed)
 
     def holds(
         named: dict[str, _Shape], goals: list[Formula], base: bool = False
@@ -681,7 +673,7 @@ def _family_stage(
     for combo in itertools.product(*menus):
         tick(FAMILY)
         if staged:
-            at = _Ctx(cfg, n, ctx.letters, ctx.rows, diag, combo, ctx.instances)
+            at = _Ctx(cfg, n, ctx.letters, ctx.rows, diag, combo)
             if not all(at.extension(g) & 1 for g in staged):
                 continue
         yield _assemble(cfg, world_names, ctx.letters, ctx.rows, combo), world_names[0]

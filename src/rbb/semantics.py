@@ -18,16 +18,17 @@ neighborhood family is an integer too, with bit x set when the world set x
 belongs to it.  The same class states the frame conditions of each theory
 class once, as a per-world fault generator that `validate_model` reports
 from and the bounded search prunes with.  The bounded search builds its
-contexts from raw masks, gives the worlds it has not fixed yet the empty
-family (belief is false there), and shares one memo of quantifier
-instances across a whole search.  The public functions build a context
+contexts from raw masks and gives the worlds it has not fixed yet the empty
+family (belief is false there).  The public functions build a context
 from a Model that keeps each family as a set of world-set masks, since an
 integer over world sets has 2^n bits; `validate_model`, which caps the
 world count, turns them into integers for the checker.  A Model encodes
 itself once and keeps the encoding, so `validate_model` and every
 `satisfies` or `extension` call on the same model share it; each call
-still gets a fresh context with its own memo.  The App variant
-gets no semantics here, matching its proof-theoretic-only status.
+still gets a fresh context with its own memo.  Every context takes the
+instances of a quantifier from :func:`~rbb.syntax.instances`, whose cache
+serves the whole process.  The App variant gets no semantics here,
+matching its proof-theoretic-only status.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ from .syntax import (
     Or,
     Reason,
     Supports,
-    is_free_for,
-    substitute,
+    instances,
     term_name,
 )
-from .theory import TheoryConfig
+from .theory import TheoryConfig, is_string_array
 
 #: Validation quantifies over all subsets of W, so it refuses models beyond
 #: this many worlds instead of silently taking minutes.
@@ -319,32 +319,15 @@ def _members(family: int) -> Iterator[int]:
         family ^= low
 
 
-def _instances(
-    formula: ForAll, cfg: TheoryConfig, memo: dict[ForAll, tuple[Formula, ...]]
-) -> tuple[Formula, ...]:
-    """The capture-free instances of ``formula`` over the declared reasons."""
-    insts = memo.get(formula)
-    if insts is None:
-        insts = memo[formula] = tuple(
-            substitute(formula.sub, formula.var, name)
-            for name in cfg.reasons
-            if is_free_for(name, formula.var, formula.sub)
-        )
-    return insts
-
-
 class _Ctx:
     """Bitmask evaluator and frame checker over the worlds 0..n-1.
 
     World i lives at bit i, a world set is an integer, and ``families[i]``
     is N(w_i) as an integer over world sets: bit x is set when the world
     set x is a member.  A world whose family is not fixed yet has 0.
-    ``instances`` memoises the quantifier instances (see `_instances`); it
-    may be shared between contexts over the same theory configuration.
     """
 
-    __slots__ = ("cfg", "n", "full", "letters", "rows", "diag", "families",
-                 "instances", "memo")
+    __slots__ = ("cfg", "n", "full", "letters", "rows", "diag", "families", "memo")
 
     def __init__(
         self,
@@ -354,7 +337,6 @@ class _Ctx:
         rows: Mapping[str, Sequence[int]],
         diag: Mapping[str, int],
         families: Sequence[int] | Sequence[frozenset[int]],
-        instances: dict[ForAll, tuple[Formula, ...]],
     ) -> None:
         self.cfg = cfg
         self.n = n
@@ -363,13 +345,7 @@ class _Ctx:
         self.rows = rows
         self.diag = diag
         self.families = families
-        self.instances = instances
         self.memo: dict[Formula, int] = {}
-
-    @classmethod
-    def of_model(cls, model: Model, cfg: TheoryConfig) -> _Ctx:
-        """A fresh context, with its own memos, over the model's cached encoding."""
-        return _ModelCtx(cfg, *model._masks, {})
 
     def believers(self, x: int) -> int:
         """The worlds whose family has the world set x."""
@@ -471,7 +447,7 @@ class _Ctx:
         else:
             assert isinstance(formula, ForAll)
             out = self.full
-            for inst in _instances(formula, self.cfg, self.instances):
+            for inst in instances(formula, self.cfg.reasons):
                 out &= self.extension(inst)
                 if out == 0:
                     break
@@ -500,7 +476,7 @@ class _ModelCtx(_Ctx):
 def extension(model: Model, formula: Formula, cfg: TheoryConfig) -> frozenset[str]:
     """The set of worlds where ``formula`` holds."""
     ensure_in_language(formula, cfg)
-    mask = _Ctx.of_model(model, cfg).extension(formula)
+    mask = _ModelCtx(cfg, *model._masks).extension(formula)
     return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
 
 
@@ -509,7 +485,7 @@ def satisfies(model: Model, world: str, formula: Formula, cfg: TheoryConfig) -> 
     if world not in model.worlds:
         raise UnknownWorld(f"unknown world {world!r}")
     ensure_in_language(formula, cfg)
-    mask = _Ctx.of_model(model, cfg).extension(formula)
+    mask = _ModelCtx(cfg, *model._masks).extension(formula)
     return bool(mask >> model.worlds.index(world) & 1)
 
 
@@ -562,7 +538,7 @@ def validate_model(model: Model, cfg: TheoryConfig) -> PropertyReport:
             f"validation is exhaustive over subsets and caps at "
             f"{MAX_VALIDATION_WORLDS} worlds; got {n}"
         )
-    ctx = _Ctx.of_model(model, cfg)
+    ctx = _ModelCtx(cfg, *model._masks)
     up = {row: superset_family(row, n) for rows in ctx.rows.values() for row in rows}
 
     def named(mask: int) -> frozenset[str]:
@@ -631,10 +607,6 @@ def model_to_doc(model: Model, point: str | None = None) -> dict:
     return doc
 
 
-def _strings(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
 def model_from_doc(doc: dict) -> tuple[Model, str | None]:
     """The model and optional point of a wire document.
 
@@ -649,7 +621,7 @@ def model_from_doc(doc: dict) -> tuple[Model, str | None]:
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object")
     worlds = doc.get("worlds")
-    if not _strings(worlds):
+    if not is_string_array(worlds):
         raise ValueError("model field 'worlds' must be a JSON array of strings")
     fields = {}
     for key in ("access", "neighborhoods", "valuation"):
@@ -659,20 +631,20 @@ def model_from_doc(doc: dict) -> tuple[Model, str | None]:
         fields[key] = value or {}
     for reason, pairs in fields["access"].items():
         if not isinstance(pairs, list) or not all(
-            _strings(pair) and len(pair) == 2 for pair in pairs
+            is_string_array(pair) and len(pair) == 2 for pair in pairs
         ):
             raise ValueError(
                 f"model field 'access' entry {reason!r} must be a JSON array "
                 "of [from, to] pairs of strings"
             )
     for w, family in fields["neighborhoods"].items():
-        if not isinstance(family, list) or not all(_strings(x) for x in family):
+        if not isinstance(family, list) or not all(is_string_array(x) for x in family):
             raise ValueError(
                 f"model field 'neighborhoods' entry {w!r} must be a JSON array "
                 "of arrays of strings"
             )
     for w, letters in fields["valuation"].items():
-        if not _strings(letters):
+        if not is_string_array(letters):
             raise ValueError(
                 f"model field 'valuation' entry {w!r} must be a JSON array of strings"
             )

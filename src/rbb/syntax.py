@@ -23,6 +23,7 @@ re-hash of the whole subtree on every memo lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Union
 
 SIGMA_NAME = "sigma"
@@ -388,3 +389,19 @@ def substitute(formula: Formula, r: str, s: str) -> Formula:
         return ForAll(f.var, walk(f.sub))
 
     return walk(formula)
+
+
+@lru_cache(maxsize=256)
+def instances(quantifier: ForAll, names: tuple[str, ...]) -> tuple[Formula, ...]:
+    """The capture-free instances of ``quantifier`` over ``names``, in their order.
+
+    ``A t. phi`` is read substitutionally: one instance ``phi[s/t]`` for each
+    name s that is free for t in phi.  This is the one place instances are
+    built; the results live in a small bounded cache shared by the whole
+    process, keyed on the quantifier and the names.
+    """
+    return tuple(
+        substitute(quantifier.sub, quantifier.var, name)
+        for name in names
+        if is_free_for(name, quantifier.var, quantifier.sub)
+    )

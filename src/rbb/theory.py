@@ -54,8 +54,7 @@ from .syntax import (
     as_implies,
     free_reasons,
     impl,
-    is_free_for,
-    substitute,
+    instances,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -85,6 +84,10 @@ class SchemeId(enum.Enum):
     MR = "MR"
     MT = "MT"
     APP = "APP"
+
+
+def is_string_array(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def _check_names(kind: str, names: tuple[str, ...]) -> None:
@@ -177,12 +180,16 @@ class TheoryConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TheoryConfig":
-        return cls.from_name(
-            doc["theory"],
-            tuple(doc["reasons"]),
-            tuple(doc["letters"]),
-            bool(doc.get("allow_overlap", False)),
-        )
+        """The inverse of :meth:`to_doc`; any other JSON shape is a ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError("a theory document must be a JSON object")
+        for key in ("reasons", "letters"):
+            if not is_string_array(doc.get(key)):
+                raise ValueError(f"theory field {key!r} must be a JSON array of strings")
+        overlap = doc.get("allow_overlap", False)
+        if not isinstance(overlap, bool):
+            raise ValueError("theory field 'allow_overlap' must be a JSON boolean")
+        return cls.from_name(doc.get("theory"), doc["reasons"], doc["letters"], overlap)
 
     # -- derived views ------------------------------------------------------
 
@@ -312,11 +319,7 @@ def _is_ui(f: Formula, cfg: TheoryConfig) -> bool:
     if outer is None or not isinstance(outer[0], ForAll):
         return False
     quant, rest = outer
-    return any(
-        is_free_for(cand, quant.var, quant.sub)
-        and substitute(quant.sub, quant.var, cand) == rest
-        for cand in cfg.reasons
-    )
+    return rest in instances(quant, cfg.reasons)
 
 
 PHI, PSI = Letter("phi"), Letter("psi")

@@ -101,6 +101,42 @@ def random_formula(
     return Not(random_formula(rng, cfg, depth - 1, scope, quantifiers))
 
 
+def random_quantifier(
+    rng: random.Random, reasons: tuple[str, ...], depth: int = 3
+) -> ForAll:
+    """A random ``A x. phi`` whose binders, outer and inner, may reuse a
+    declared name, so that some substituents are blocked by capture.
+
+    Reason positions name the outer variable four times in ten, and
+    otherwise draw from ``reasons`` (sigma included when declared), the
+    binder names and the undeclared name ``t9``.
+    """
+    binders = tuple(r for r in reasons if r != SIGMA_NAME) + ("u", "v")
+    names = reasons + binders + ("t9",)
+    var = rng.choice(binders)
+
+    def term():
+        return atom_term(var if rng.random() < 0.4 else rng.choice(names))
+
+    def walk(d: int) -> Formula:
+        roll = rng.random()
+        if d == 0 or roll < 0.15:
+            return Letter("p") if rng.random() < 0.5 else Adequate(term())
+        if roll < 0.3:
+            return Not(walk(d - 1))
+        if roll < 0.45:
+            return Or(walk(d - 1), walk(d - 1))
+        if roll < 0.6:
+            return Supports(term(), walk(d - 1))
+        if roll < 0.7:
+            return Believes(walk(d - 1))
+        if roll < 0.8:
+            return Eq(term(), term())
+        return ForAll(rng.choice(binders), walk(d - 1))
+
+    return ForAll(var, walk(depth))
+
+
 # ---------------------------------------------------------------------------
 # Random validated models
 

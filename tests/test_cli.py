@@ -475,3 +475,68 @@ def test_library_table(capsys):
     code, out, _ = run(capsys, "library", "--format", "json")
     doc = json.loads(out)
     assert doc["accepted"] == doc["total"] == 14
+
+
+def _proof_with(path, value):
+    """A copy of IDENTITY_PROOF with ``value`` at the key path ``path``."""
+    doc = json.loads(json.dumps(IDENTITY_PROOF))
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+# Proof documents with a field of the wrong JSON type, each with the field
+# that the error message must name.  A string for an array would be read as
+# its characters, and the string "false" is truthy.
+BAD_PROOF_FIELDS = {
+    "reasons-string": (_proof_with(("theory", "reasons"), "rs"), "reasons"),
+    "letters-string": (_proof_with(("theory", "letters"), "pq"), "letters"),
+    "allow-overlap-string": (
+        _proof_with(("theory", "allow_overlap"), "false"), "allow_overlap"
+    ),
+    "goal-array": (_proof_with(("goal",), ["p"]), "goal"),
+    "step-formula-object": (_proof_with(("steps", 0, "f"), {"a": 1}), "'f'"),
+    "step-justification-string": (_proof_with(("steps", 0, "by"), "a"), "justification"),
+    "step-index-string": (_proof_with(("steps", 0, "i"), "1"), "index"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_PROOF_FIELDS))
+def test_proof_field_of_the_wrong_type_is_bad_input(capsys, tmp_path, kind):
+    doc, field = BAD_PROOF_FIELDS[kind]
+    code, out, err = run(capsys, "check-proof", write_json(tmp_path, "p.json", doc))
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and field in err
+    assert "internal error" not in err and "Traceback" not in out + err
+
+
+def test_justification_indices_are_not_read_from_a_string(capsys, tmp_path):
+    # "12" must not pass for [1, 2].
+    doc = {
+        **IDENTITY_PROOF,
+        "steps": [
+            {"i": 1, "f": "p | ~p", "by": {"axiom": "CL"}},
+            {"i": 2, "f": "(p | ~p) -> p -> p", "by": {"axiom": "CL"}},
+            {"i": 3, "f": "p -> p", "by": {"mp": [1, 2]}},
+        ],
+    }
+    code, _, _ = run(capsys, "check-proof", write_json(tmp_path, "p.json", doc))
+    assert code == EXIT_OK
+    doc["steps"][2]["by"] = {"mp": "12"}
+    code, _, err = run(capsys, "check-proof", write_json(tmp_path, "p.json", doc))
+    assert code == EXIT_BAD_INPUT and "index" in err
+
+
+def test_nan_budget_is_bad_input(capsys, monkeypatch):
+    # NaN compares false with every deadline, so it would lift the budget.
+    argv = ("find-model", "B p", "--bounds", "worlds=1")
+    code, _, err = run(capsys, *argv, "--bounds", "budget=nan")
+    assert code == EXIT_BAD_INPUT and "budget" in err
+    monkeypatch.setenv("RBB_BUDGET_SECS", "nan")
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT and "budget" in err
+    code, _, _ = run(capsys, *argv, "--bounds", "budget=1")
+    assert code == EXIT_OK

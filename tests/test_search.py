@@ -61,6 +61,12 @@ def test_bounds_validation():
     assert SearchBounds(budget_secs=None).budget_secs is None
 
 
+def test_nan_budget_is_refused():
+    # NaN is not <= 0 and no clock is ever past it, so it would lift the budget.
+    with pytest.raises(ValueError, match="budget"):
+        SearchBounds(budget_secs=float("nan"))
+
+
 def test_bounds_doc_round_trip():
     b = SearchBounds(max_worlds=4, max_seeds=2, budget_secs=None)
     assert bounds_from_doc(bounds_to_doc(b)) == b
@@ -224,7 +230,7 @@ def test_seed_operands_are_the_quantifier_instances():
     for text in texts:
         goal = parse(text, cfg)
         wanted = set(_instance_operands(goal, cfg))
-        assert wanted and set(_believed_operands((goal,), cfg, {})) == wanted, text
+        assert wanted and set(_believed_operands((goal,), cfg)) == wanted, text
 
 
 def test_budget_signal_carries_progress():

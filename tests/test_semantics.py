@@ -184,6 +184,27 @@ def test_quantifier_ranges_over_declared_reasons():
     assert not satisfies(m, "w0", Eq(R, S), QUANT)
 
 
+def test_equal_quantifiers_are_instantiated_once_across_calls(monkeypatch):
+    # Two public calls on equal, separately parsed formulas: the second
+    # finds the instances the first built, so each is substituted once.
+    rbb.syntax.instances.cache_clear()
+    calls = []
+    real = rbb.syntax.substitute
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rbb.syntax, "substitute", counting)
+    monkeypatch.setattr(rbb.semantics, "substitute", counting, raising=False)
+    text = "A t. t:(p | q) -> B t"
+    first, second = (rbb.parse(text, QUANT) for _ in range(2))
+    assert first == second and first is not second
+    model = tiny()
+    assert satisfies(model, "w0", first, QUANT) == satisfies(model, "w0", second, QUANT)
+    assert [name for _, _, name in calls] == list(QUANT.reasons)
+
+
 def test_quantifier_skips_capture_blocked_substituents():
     m = tiny()
     # substituting s for t under a binder on s would capture, so the

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from corpus import class_config, random_formula
+from corpus import class_config, random_formula, random_quantifier
 from rbb.parser import parse, print_formula
 from rbb.semantics import UnknownSymbol, ensure_in_language
 from rbb.syntax import (
@@ -37,6 +37,7 @@ from rbb.syntax import (
     free_reasons,
     iff,
     impl,
+    instances,
     is_free_for,
     neq,
     subformulas,
@@ -270,3 +271,32 @@ def test_binders_are_checked_before_hashing():
     for var in ("sigma", "A"):
         with pytest.raises(ValueError):
             ForAll(var, P)
+
+
+def _instances_oracle(quantifier, names):
+    # The comprehension the evaluator ran before `instances` owned it.
+    return tuple(
+        substitute(quantifier.sub, quantifier.var, name)
+        for name in names
+        if is_free_for(name, quantifier.var, quantifier.sub)
+    )
+
+
+def test_instances_match_the_substitution_oracle():
+    rng = random.Random(10)
+    alphabets = (("r", "s"), ("r", "s", "sigma"), ("s", "r", "u"))
+    blocked = 0
+    for _ in range(1500):
+        names = rng.choice(alphabets)
+        quantifier = random_quantifier(rng, names)
+        want = _instances_oracle(quantifier, names)
+        # A fresh computation, a cache hit, and an equal but separate key.
+        copy = pickle.loads(pickle.dumps(quantifier))
+        for key in (quantifier, quantifier, copy):
+            assert instances(key, names) == want, quantifier
+        blocked += len(want) < len(names)
+    assert blocked > 100
+
+
+def test_instances_are_cached_in_a_bounded_cache():
+    assert instances.cache_info().maxsize is not None

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from corpus import axiom_instance, class_config
+from corpus import axiom_instance, class_config, random_quantifier
 from rbb.syntax import (
     SIGMA,
     App,
     Adequate,
+    Basic,
     Believes,
     CaptureError,
     Eq,
@@ -16,15 +17,18 @@ from rbb.syntax import (
     Not,
     Or,
     Supports,
+    as_implies,
     atom_term,
     disj,
     impl,
+    is_free_for,
     substitute,
 )
 from rbb.theory import (
     SchemeId,
     SkeletonTooLarge,
     TheoryConfig,
+    _is_ui,
     is_tautology_instance,
     match_axiom,
 )
@@ -298,3 +302,52 @@ def test_match_axiom_results_are_pinned():
     assert {r for r in results if r is not None} == set(SchemeId)
     text = " ".join("-" if r is None else r.value for r in results)
     assert hashlib.sha256(text.encode()).hexdigest() == MATCH_DIGEST
+
+
+def _is_ui_oracle(f, cfg):
+    # The loop (UI) matching ran before quantifier instances had one owner.
+    outer = as_implies(f)
+    if outer is None or not isinstance(outer[0], ForAll):
+        return False
+    quant, rest = outer
+    return any(
+        is_free_for(cand, quant.var, quant.sub)
+        and substitute(quant.sub, quant.var, cand) == rest
+        for cand in cfg.reasons
+    )
+
+
+def _capturing_substitute(node, r, s):
+    """``node`` with free ``r`` replaced by ``s``, captured or not."""
+    if isinstance(node, Basic):
+        return atom_term(s) if node.name == r else node
+    if isinstance(node, ForAll) and node.var == r:
+        return node
+    return type(node)(*(
+        v if isinstance(v, str) else _capturing_substitute(v, r, s)
+        for v in (getattr(node, name) for name in node.__match_args__)
+    ))
+
+
+def test_ui_matching_agrees_with_the_instance_loop():
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    blocked = 0
+    for cfg in (QUANT, TheoryConfig.from_name("QRBBs", ("r", "s"), ("p",))):
+        for _ in range(400):
+            quant = random_quantifier(rng, cfg.reasons)
+            body, var = quant.sub, quant.var
+            blocked += sum(not is_free_for(name, var, body) for name in cfg.reasons)
+            # True instances, blocked substituents forced through anyway,
+            # and near misses: an undeclared name, a negated instance, the
+            # body itself, a consequent that is no instance at all.
+            rests = [_capturing_substitute(body, var, name) for name in cfg.reasons]
+            rests += [Not(rest) for rest in rests]
+            rests += [_capturing_substitute(body, var, "t9"), body, P]
+            for rest in rests:
+                f = impl(quant, rest)
+                want = _is_ui_oracle(f, cfg)
+                assert _is_ui(f, cfg) == want, f
+                verdicts[want] += 1
+            assert not _is_ui(impl(Not(quant), rests[0]), cfg)
+    assert min(verdicts.values()) > 500 and blocked > 20
