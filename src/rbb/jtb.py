@@ -18,7 +18,7 @@ witnesses so every verdict can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
@@ -316,7 +316,6 @@ def analyze_scenario(
     sc: Scenario,
     bounds: SearchBounds | None = None,
     witness_cap: int = 4,
-    attack_bounds: SearchBounds | None = None,
 ) -> ScenarioReport:
     """Search-backed status report for a scenario's focus queries.
 
@@ -324,16 +323,9 @@ def analyze_scenario(
     is then evaluated at every stored witness, and independently attacked by
     a countermodel search against (assumptions -> query); a countermodel is
     itself a witness of the assumptions, so it is decisive for FAILS_IN_SOME.
-
-    Witness search runs at ``bounds``.  The attacks default to the same
-    bounds with worlds capped at three: their goal is a negated implication
-    whose antecedent is the entire theory, much the costliest direction, and
-    small countermodels surface first anyway.  Pass ``attack_bounds`` to
-    push an attack harder.
+    Witness search and attacks alike run at ``bounds``.
     """
     bounds = bounds or SearchBounds()
-    if attack_bounds is None:
-        attack_bounds = replace(bounds, max_worlds=min(bounds.max_worlds, 3))
     assumptions = sc.sorted_assumptions()
     found, terminal = find_models(assumptions, sc.theory, bounds, witness_cap)
     consistency: SearchOutcome = found[0] if found else terminal
@@ -343,7 +335,7 @@ def analyze_scenario(
         truths = [satisfies(w.model, w.world, query, sc.theory) for w in found]
         falsifier = next((w for w, true in zip(found, truths) if not true), None)
         entailment = impl(conj(*assumptions), query)
-        nonvalidity = check_nonvalidity(entailment, sc.theory, attack_bounds)
+        nonvalidity = check_nonvalidity(entailment, sc.theory, bounds)
         if falsifier is None and isinstance(nonvalidity, Witness):
             falsifier = nonvalidity
         true_in = sum(truths)

@@ -269,6 +269,9 @@ def _just_from_doc(doc: dict, cfg: TheoryConfig) -> Justification:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ValueError(f"malformed justification {doc!r}")
     kind, value = next(iter(doc.items()))
+    pair = {"mp": "[index, index]", "rn": "[index, reason]", "gen": "[index, variable]"}
+    if kind in pair and not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{kind} needs a JSON array {pair[kind]}, got {value!r}")
     if kind == "axiom":
         try:
             return Axiom(SchemeId(value))

@@ -38,6 +38,16 @@ each stage checks only its own conjuncts.  A top-level ``A t. phi`` holds
 at the point exactly when each of its instances does, so the conjuncts of
 its instances take its place.
 
+Every goal holds at the point, so `_schedule` first propagates its
+literals (letters, adequacy atoms, ``t:phi``, ``B phi``, equations, and
+their negations), as unit propagation does.  Each other conjunct gets
+their values, and ground equations theirs, where they occur outside
+Supports, Believes and quantifiers, and is simplified: dropped when true,
+split again when changed, until nothing changes.  Opposite literals or a
+false conjunct end the search at once.  This is exact, so the candidates
+and their order do not change; the analyses that shape the space still
+read the original goals.
+
 * valuation: conjuncts without Supports, adequacy atoms or Believes;
 * reason k's shapes: Believes-free conjuncts with the one free reason k,
   an active one, and no quantifier;
@@ -107,8 +117,10 @@ from .syntax import (
     SIGMA_NAME,
     Adequate,
     Believes,
+    Eq,
     ForAll,
     Formula,
+    Letter,
     Not,
     Or,
     Supports,
@@ -116,6 +128,7 @@ from .syntax import (
     free_reasons,
     instances,
     subformulas,
+    term_name,
 )
 from .theory import TheoryConfig
 
@@ -342,19 +355,63 @@ class _Schedule:
     staged: list[Formula] = field(default_factory=list)
 
 
+_ATOMS = (Letter, Adequate, Supports, Believes)
+
+
+def _fold(f: Formula, known: dict[Formula, bool]) -> Formula | bool:
+    """``f`` with its top-level atoms in ``known`` and equations replaced by
+    their truth values, simplified; ``f`` itself when nothing changed."""
+    if isinstance(f, Eq):
+        return term_name(f.left) == term_name(f.right)
+    if isinstance(f, Not):
+        sub = _fold(f.sub, known)
+        if isinstance(sub, bool):
+            return not sub
+        return f if sub is f.sub else _neg(sub)
+    if isinstance(f, Or):
+        left, right = _fold(f.left, known), _fold(f.right, known)
+        if left is True or right is False:
+            return left
+        if right is True or left is False:
+            return right
+        return f if left is f.left and right is f.right else Or(left, right)
+    return known.get(f, f)
+
+
 def _schedule(
     goal_list: tuple[Formula, ...], active: tuple[str, ...], cfg: TheoryConfig
-) -> _Schedule:
-    """Put each conjunct into the first stage that fixes its value."""
+) -> _Schedule | None:
+    """Propagate the point's literals (see the module docstring), then put
+    each conjunct into the first stage that fixes its value; None when no
+    candidate can meet the goals."""
+    known: dict[Formula, bool] = {}
+    goals: dict[Formula, None] = {}
+    pending = list(goal_list)
+    while pending:
+        for g in pending:
+            if isinstance(g, ForAll):
+                # It holds at the point exactly when each of its instances does.
+                pending.extend(c for inst in instances(g, cfg.reasons) for c in _conjuncts(inst))
+                continue
+            goals[g] = None
+            atom, value = (g.sub, False) if isinstance(g, Not) else (g, True)
+            if isinstance(atom, _ATOMS) and known.setdefault(atom, value) is not value:
+                return None
+        pending = []
+        for g in list(goals):
+            if isinstance(g.sub if isinstance(g, Not) else g, _ATOMS):
+                continue
+            folded = _fold(g, known)
+            if folded is False:
+                return None
+            if folded is not g:
+                del goals[g]
+                if folded is not True:
+                    pending.extend(_conjuncts(folded))
     out = _Schedule(True)
-    goals = list(goal_list)
     for g in goals:
         literal = g.sub if isinstance(g, Not) else g
-        if isinstance(g, ForAll):
-            # It holds at the point exactly when each of its instances does,
-            # so their conjuncts join the list being walked.
-            goals.extend(c for inst in instances(g, cfg.reasons) for c in _conjuncts(inst))
-        elif not _mentions(g, (Supports, Adequate, Believes)):
+        if not _mentions(g, (Supports, Adequate, Believes)):
             out.valuation.append(g)
         elif not _mentions(g, (Believes,)):
             free = free_reasons(g)
@@ -471,6 +528,8 @@ def iter_candidates(
     schedule = _Schedule(False)
     if prune:
         schedule = _schedule(goal_list, active_reasons, cfg)
+        if schedule is None:
+            return
 
     done = dict.fromkeys((RELATION, FAMILY), 0)
     polls = itertools.count()

@@ -427,7 +427,7 @@ class _Ctx:
             try:
                 row = self.rows[name]
             except KeyError:
-                raise UnknownReason(name) from None
+                raise UnknownReason(f"model has no relation entry for {name!r}") from None
             inside = self.extension(formula.sub)
             out = 0
             for i in range(self.n):
@@ -438,7 +438,7 @@ class _Ctx:
             try:
                 out = self.diag[name]
             except KeyError:
-                raise UnknownReason(name) from None
+                raise UnknownReason(f"model has no relation entry for {name!r}") from None
         elif isinstance(formula, Believes):
             out = self.believers(self.extension(formula.sub))
         elif isinstance(formula, Eq):

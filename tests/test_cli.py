@@ -490,7 +490,8 @@ def _proof_with(path, value):
 
 # Proof documents with a field of the wrong JSON type, each with the field
 # that the error message must name.  A string for an array would be read as
-# its characters, and the string "false" is truthy.
+# its characters, and the string "false" is truthy.  A justification that
+# takes two values must be named with the shape it expects.
 BAD_PROOF_FIELDS = {
     "reasons-string": (_proof_with(("theory", "reasons"), "rs"), "reasons"),
     "letters-string": (_proof_with(("theory", "letters"), "pq"), "letters"),
@@ -501,6 +502,15 @@ BAD_PROOF_FIELDS = {
     "step-formula-object": (_proof_with(("steps", 0, "f"), {"a": 1}), "'f'"),
     "step-justification-string": (_proof_with(("steps", 0, "by"), "a"), "justification"),
     "step-index-string": (_proof_with(("steps", 0, "i"), "1"), "index"),
+    "mp-one-index": (
+        _proof_with(("steps", 0, "by"), {"mp": [1]}), "mp needs a JSON array [index, index]"
+    ),
+    "gen-number": (
+        _proof_with(("steps", 0, "by"), {"gen": 3}), "gen needs a JSON array [index, variable]"
+    ),
+    "rn-string": (
+        _proof_with(("steps", 0, "by"), {"rn": "ab"}), "rn needs a JSON array [index, reason]"
+    ),
 }
 
 
@@ -528,6 +538,14 @@ def test_justification_indices_are_not_read_from_a_string(capsys, tmp_path):
     doc["steps"][2]["by"] = {"mp": "12"}
     code, _, err = run(capsys, "check-proof", write_json(tmp_path, "p.json", doc))
     assert code == EXIT_BAD_INPUT and "index" in err
+
+
+def test_eval_names_a_missing_relation(capsys, tmp_path):
+    doc = {"worlds": ["w0"], "access": {"s": []}, "point": "w0"}
+    path = write_json(tmp_path, "m.json", doc)
+    code, _, err = run(capsys, "eval", "--model", path, "r:p")
+    assert code == EXIT_BAD_INPUT
+    assert err == "error: model has no relation entry for 'r'\n"
 
 
 def test_nan_budget_is_bad_input(capsys, monkeypatch):

@@ -116,6 +116,16 @@ def test_gettier_report():
     assert isinstance(internal.nonvalidity, Exhausted)
 
 
+def test_attacks_run_at_the_witness_bounds():
+    # The assumptions' literals falsify the s instance of ~JTBe(p|q) at the
+    # point, so this attack is decided before any model is walked.
+    bounds = SearchBounds(max_worlds=4, budget_secs=20.0)
+    report = analyze_scenario(scenario("TDTD+NoR"), bounds)
+    attack = next(q for q in report.queries if q.label == "JTBe(p|q)").nonvalidity
+    assert isinstance(attack, Exhausted)
+    assert attack.bounds.max_worlds == 4
+
+
 def test_inconclusive_without_witnesses():
     rbb = TheoryConfig.from_name("RBB", reasons=("r",), letters=("p", "q"))
     sc = Scenario(

@@ -1,5 +1,6 @@
 """Bounded model search: outcomes, determinism, and the enumeration order."""
 
+import itertools
 import random
 import time
 
@@ -9,6 +10,8 @@ import corpus
 from rbb.parser import parse
 from rbb.search import (
     _believed_operands,
+    _conjuncts,
+    _schedule,
     BudgetExceeded,
     Exhausted,
     SearchBounds,
@@ -24,11 +27,16 @@ from rbb.search import (
 )
 from rbb.semantics import satisfies, validate_model
 from rbb.syntax import (
+    Adequate,
     Believes,
+    Eq,
     ForAll,
+    Letter,
     Not,
     Or,
     Supports,
+    atom_term,
+    conj,
     is_free_for,
     subformulas,
     substitute,
@@ -403,3 +411,106 @@ def test_witnesses_revalidate(base_corpus):
             assert satisfies(out.model, out.world, goal, cfg)
     assert found >= 10
     assert time.perf_counter() - t0 < 30.0
+
+
+def _scheduled(goals, cfg):
+    """The conjuncts the pruned walk checks for ``goals``, or None when the
+    schedule finds that no candidate can meet them."""
+    split = tuple(dict.fromkeys(c for g in goals for c in _conjuncts(g)))
+    schedule = _schedule(split, cfg.reasons, cfg)
+    if schedule is None:
+        return None
+    return [
+        *schedule.valuation,
+        *itertools.chain(*schedule.reasons.values()),
+        *itertools.chain(*schedule.relations.values()),
+        *(Believes(phi) if held else Not(Believes(phi)) for phi, held in schedule.point),
+        *schedule.staged,
+    ]
+
+
+def _literal_goal_set(rng, cfg):
+    """One to three literals on distinct atoms, and one or two conjuncts
+    that mix literals, equations and random formulas, some negated."""
+
+    def term():
+        return atom_term(rng.choice(cfg.reasons))
+
+    def literal(atom):
+        return atom if rng.random() < 0.5 else Not(atom)
+
+    letter = Letter(rng.choice(cfg.letters))
+    atoms = [Letter(p) for p in cfg.letters]
+    atoms += [Adequate(term()), Supports(term(), letter), Believes(letter)]
+    goals = [literal(atom) for atom in rng.sample(atoms, rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 2)):
+        pieces = [
+            literal(rng.choice(atoms)) if roll < 0.6
+            else Eq(term(), term()) if roll < 0.72
+            else corpus.random_formula(rng, cfg, depth=2)
+            for roll in (rng.random() for _ in range(rng.randint(1, 3)))
+        ]
+        goal = pieces[0]
+        for piece in pieces[1:]:
+            goal = Or(goal, piece) if rng.random() < 0.5 else conj(goal, piece)
+        goals.append(goal if rng.random() < 0.8 else Not(goal))
+    return goals
+
+
+def test_literal_propagation_is_exact():
+    # The schedule folds the point's literals into the other conjuncts; an
+    # unpruned candidate must meet the folded conjuncts exactly when it
+    # meets the goals, and a contradiction found there must have no model.
+    cfgs = (
+        TheoryConfig.from_name("QRBB", ("r", "s"), ("p", "q")),
+        TheoryConfig.from_name("QRBBs", ("r",), ("p",)),
+    )
+    rng = random.Random(11)
+    folded = contradicted = 0
+    for k in range(150):
+        cfg = cfgs[k % 2]
+        goals = _literal_goal_set(rng, cfg)
+        scheduled = _scheduled(goals, cfg)
+        if scheduled is None:
+            contradicted += 1
+        elif set(scheduled) != {c for g in goals for c in _conjuncts(g)}:
+            folded += 1
+        bounds = SearchBounds(max_worlds=1 + k % 2, budget_secs=None)
+        candidates = iter_candidates(goals, cfg, bounds, prune=False)
+        for model, point in itertools.islice(candidates, 200):
+            want = all(satisfies(model, point, g, cfg) for g in goals)
+            got = scheduled is not None and all(
+                satisfies(model, point, c, cfg) for c in scheduled
+            )
+            assert want == got, goals
+    assert folded >= 30 and contradicted >= 30
+
+
+def test_folding_expands_an_exposed_quantifier():
+    # ~p turns p | A t. t:q into a top-level quantifier, which must give
+    # way to its instances like any other.
+    goals = [parse("p | A t. t:q", NO_CLOSURE_CFG), parse("~p", NO_CLOSURE_CFG)]
+    scheduled = _scheduled(goals, NO_CLOSURE_CFG)
+    assert set(scheduled) == {
+        parse(t, NO_CLOSURE_CFG) for t in ("~p", "r:q", "s:q")
+    }
+    out = find_model(goals, NO_CLOSURE_CFG, W2)
+    assert isinstance(out, Witness)
+    assert all(satisfies(out.model, out.world, g, NO_CLOSURE_CFG) for g in goals)
+
+
+def test_opposite_literals_exhaust_at_once():
+    bounds = SearchBounds(max_worlds=6, budget_secs=10.0)
+    t0 = time.perf_counter()
+    out = find_model([parse("p", RBB), parse("~p", RBB)], RBB, bounds)
+    assert isinstance(out, Exhausted) and out.bounds == bounds
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_false_equation_instance_is_dropped():
+    # The instance r != r -> B p holds outright, so only s != r -> B p,
+    # folded to the belief literal B p, is left to check.
+    goal = parse("A t. t != r -> B p", QRBB)
+    schedule = _schedule((goal,), QRBB.reasons, QRBB)
+    assert schedule.point == [(parse("p", QRBB), True)]
+    assert _scheduled([goal], QRBB) == [parse("B p", QRBB)]
