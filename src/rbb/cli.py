@@ -12,7 +12,9 @@ exit codes are part of the contract and scripts may rely on them:
        exception, reported as "error: internal error: <Type>: <message>",
        so that an uncaught exception never exits 1
     3  bounded search exhausted without a witness
-    4  search budget exceeded
+    4  search budget exceeded.  ``rbb scenario`` exits 4 when its
+       consistency search or any attack ran out of budget, and otherwise
+       as its consistency search does
 
 The default search budget is 60 seconds.  The RBB_BUDGET_SECS environment
 variable overrides it, and an explicit ``--bounds budget=...`` wins over
@@ -45,6 +47,7 @@ from .proof import (
     proof_from_doc,
 )
 from .search import (
+    BudgetExceeded,
     Exhausted,
     SearchBounds,
     Witness,
@@ -286,6 +289,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(report_to_text(report))
     else:
         _emit_json(report_to_doc(report))
+    outcomes = [report.consistency, *(q.nonvalidity for q in report.queries)]
+    if any(isinstance(outcome, BudgetExceeded) for outcome in outcomes):
+        return EXIT_BUDGET
     return _outcome_exit(report.consistency)
 
 

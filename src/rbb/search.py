@@ -72,7 +72,14 @@ completes it.  A reason's shapes with one point row are contiguous in
 enumeration order and are made lazily, and a point row none of whose keys
 passes is skipped as one step.  Otherwise each check runs on each shape
 the walk reaches.  A reason whose own conjuncts admit no shape ends the
-valuation at once.
+valuation at once.  A keyed check reads a world only through its vector
+there: the letters of the relation conjuncts, of the point's belief
+operands and of (pr), and each fixed key's point-row and diagonal bits.
+So one memo per world count decides it once per class: its position, the
+point's vector and the other worlds' vectors, sorted.  With no adequacy
+atom in Supports and an empty base family (no sigma, no positive point
+belief literal), a point row is its one key; own conjuncts that read no
+diagonal beyond the point are checked once per point row anyway.
 
 The base family of world i is the least family its menu can hold: the
 (rb)-closure of the forced sigma seed and, at the point, of the sets the
@@ -83,8 +90,9 @@ assignment before any menu is built: at the point in the walk, and at the
 other worlds in the family stage.
 
 The budget is polled at the first step and every 128th after it.  A step
-is a relation step (a check, a shape walked, or a point row skipped) or a
-family combination, and `BudgetExceeded` counts both.
+is a relation step (a check asked, whether the memo answers it or not, a
+shape walked, or a point row skipped) or a family combination, and
+`BudgetExceeded` counts both.
 
 A candidate that survives the quick checks is rebuilt as a public
 :class:`~rbb.semantics.Model` and re-examined with `validate_model` and
@@ -430,6 +438,30 @@ def _schedule(
     return out
 
 
+def _letter_vectors(
+    schedule: _Schedule, cfg: TheoryConfig, letters: dict[str, int], n: int, m: int
+) -> list[int]:
+    """World i's vector before the walk fixes a key: bit 2m + j is the j-th
+    letter that the keyed checks read (see the module docstring) at i."""
+    read = set().union(*map(formula_letters, sum(schedule.relations.values(), [])))
+    read.update(*(formula_letters(phi) for phi, _ in schedule.point))
+    if cfg.allow_overlap:
+        read |= set(cfg.letters) & set(cfg.reasons)
+    masks = [letters.get(p, 0) for p in sorted(read)]
+    return [sum((x >> i & 1) << j for j, x in enumerate(masks)) << 2 * m for i in range(n)]
+
+
+def _append_key(vectors: list[int], key: tuple[int, int], k: int) -> list[int]:
+    """The vectors with active reason k's key bits at 2k + 1 (row), 2k (diagonal)."""
+    row, d = key
+    return [v | ((row >> i & 1) << 1 | d >> i & 1) << 2 * k for i, v in enumerate(vectors)]
+
+
+def _class_key(k: int, vectors: list[int]) -> tuple[int, ...]:
+    """The class of a keyed check at walk position k (module docstring)."""
+    return (k, vectors[0], *sorted(vectors[1:]))
+
+
 def _point_sets(schedule: _Schedule, ctx: _Ctx) -> tuple[int, int]:
     """The world sets the point's belief literals ask N(w0) to hold
     (``need``) and to lack (``avoid``), as families.  Their operands are
@@ -551,6 +583,7 @@ def iter_candidates(
         world_names = tuple(f"w{i}" for i in range(n))
         up = [superset_family(row, n) for row in range(1 << n)]
         unfixed = (0,) * n
+        verdicts: dict[tuple[int, ...], bool] = {}
         letter_space = range(1 << len(active_letters))
         for point_val in letter_space:
             for rest in itertools.combinations_with_replacement(letter_space, n - 1):
@@ -565,7 +598,7 @@ def iter_candidates(
                         continue
                 walk = _relation_walk(
                     cfg, n, letters, active_reasons, schedule, keyed, restricted,
-                    up, tick,
+                    up, tick, verdicts,
                 )
                 for ctx in walk:
                     yield from _family_stage(
@@ -584,6 +617,7 @@ def _relation_walk(
     restricted: bool,
     up: list[int],
     tick: Callable[[str], None],
+    verdicts: dict[tuple[int, ...], bool],
 ) -> Iterator[_Ctx]:
     """The relation assignments that pass the relation stage, in order.
 
@@ -591,7 +625,8 @@ def _relation_walk(
     holds reason k's keys that pass its own conjuncts, and ``ok(prefix,
     i)`` says whether key i of ``menus[k]`` passes the checks at position
     k + 1 after the keys ``prefix`` and has a completion; the answers are
-    kept per prefix in a bytearray: 0 unknown, 1 fails, 2 passes.
+    kept per prefix, with its world vectors, in a bytearray: 0 unknown,
+    1 fails, 2 passes.
     """
     m, unfixed = len(active), (0,) * n
 
@@ -622,28 +657,43 @@ def _relation_walk(
     if not passes([], []):
         return
     if keyed:
-        keys = [(row, d) for row in range(1 << n) for d in range(row & 1, 1 << n, 2)]
-        stand_in = {key: _shape(n, key) for key in keys}
-        menus = [
-            [key for key in keys if holds({active[k]: stand_in[key]}, own[k])]
-            for k in range(m)
-        ]
+        walked = itertools.chain(*own, *schedule.relations.values())
+        by_row = not (cfg.sigma or any(believed for _, believed in schedule.point))
+        by_row = by_row and not any(_nests(g, Adequate) for g in walked)
+        step = 1 << n if by_row else 2
+        keys = [(row, d) for row in range(1 << n) for d in range(row & 1, 1 << n, step)]
+
+        def menu(name: str, goals: list[Formula]) -> list[tuple[int, int]]:
+            if any(_nests(g, Adequate) for g in goals):
+                return [key for key in keys if holds({name: _shape(n, key)}, goals)]
+            rows = {r for r in range(1 << n) if holds({name: _shape(n, (r, r & 1))}, goals)}
+            return [key for key in keys if key[0] in rows]
+
+        menus = [menu(name, goals) for name, goals in zip(active, own)]
         if not all(menus):
             return
         index = [{key: i for i, key in enumerate(menu)} for menu in menus]
-        memo: dict[tuple[tuple[int, int], ...], bytearray] = {}
+        start = _letter_vectors(schedule, cfg, letters, n, m)
+        memo = {(): (bytearray(len(menus[0]) if m else 0), start)}
 
         def ok(prefix: tuple[tuple[int, int], ...], i: int) -> bool:
             k = len(prefix)
-            state = memo.get(prefix)
-            if state is None:
-                state = memo[prefix] = bytearray(len(menus[k]))
+            state, vectors = memo[prefix]
             if not state[i]:
-                chosen = (*prefix, menus[k][i])
-                last = k + 1 == m
+                chosen, grown = (*prefix, menus[k][i]), _append_key(vectors, menus[k][i], k)
+                passed = True
+                if schedule.relations.get(k + 1) or k + 1 == m and schedule.prune:
+                    key = _class_key(k + 1, grown)
+                    if key in verdicts:  # a check the memo answers is a step too
+                        tick(RELATION)
+                    else:
+                        verdicts[key] = passes([_shape(n, c) for c in chosen], [])
+                    passed = verdicts[key]
+                if passed and k + 1 < m:
+                    memo[chosen] = bytearray(len(menus[k + 1])), grown
                 state[i] = 1 + (
-                    passes([stand_in[key] for key in chosen], [])
-                    and (last or any(ok(chosen, j) for j in range(len(menus[k + 1]))))
+                    passed
+                    and (k + 1 == m or any(ok(chosen, j) for j in range(len(menus[k + 1]))))
                 )
             return state[i] == 2
 
@@ -671,7 +721,7 @@ def _relation_walk(
                     continue
             for shape in _shapes(n, restricted, row):
                 tick(RELATION)
-                key = (row, shape[1])
+                key = (row, row & 1 if keyed and by_row else shape[1])
                 if keyed:
                     i = index[k].get(key)
                     if i is None or not ok(prefix, i):

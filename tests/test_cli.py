@@ -460,6 +460,19 @@ def test_scenario_text(capsys):
     assert out.splitlines()[0] == "scenario noRCL over QRBB"
 
 
+def test_scenario_attack_out_of_budget_exits_4(capsys, monkeypatch):
+    # The consistency search finds a witness, but an attack that runs out
+    # of budget leaves the report undecided: exit 4, not the witness's 0.
+    monkeypatch.setattr(
+        rbb.jtb, "check_nonvalidity", lambda *args: rbb.BudgetExceeded("stopped")
+    )
+    code, out, _ = run(capsys, "scenario", "noRCL")
+    assert code == EXIT_BUDGET
+    doc = json.loads(out)
+    assert doc["consistency"]["kind"] == "witness"
+    assert {q["nonvalidity"]["kind"] for q in doc["queries"]} == {"budget-exceeded"}
+
+
 def test_scenario_unknown_name():
     with pytest.raises(SystemExit) as exc:
         main(["scenario", "G3"])

@@ -7,11 +7,18 @@ import time
 import pytest
 
 import corpus
-from rbb.parser import parse
+import rbb.search
+from rbb.parser import parse, print_formula
 from rbb.search import (
+    _append_key,
+    _base_fault,
     _believed_operands,
+    _class_key,
     _conjuncts,
+    _letter_vectors,
+    _point_sets,
     _schedule,
+    _shape,
     BudgetExceeded,
     Exhausted,
     SearchBounds,
@@ -25,7 +32,7 @@ from rbb.search import (
     iter_witnesses,
     outcome_to_doc,
 )
-from rbb.semantics import satisfies, validate_model
+from rbb.semantics import _Ctx, satisfies, superset_family, validate_model
 from rbb.syntax import (
     Adequate,
     Believes,
@@ -261,11 +268,28 @@ def test_budget_signal_carries_progress():
 )
 def test_sigma_axiom_probes_are_decided(theory, text, worlds):
     # (mr) needs sigma(w0) inside r(w0), which r:p and ~sigma:p forbid, so
-    # the relation walk's base check rules out each key pair at once; the
-    # instance sigma:p of the quantifier empties sigma's menu.
+    # the relation walk's base check rules out every tuple of (point row,
+    # diagonal) keys, deciding each class of tuples once; the instance
+    # sigma:p of the quantifier empties sigma's menu.
     cfg = TheoryConfig.from_name(theory, ("r", "s"), ("p", "q"))
     bounds = SearchBounds(max_worlds=worlds, budget_secs=30.0)
     assert isinstance(check_nonvalidity(parse(text, cfg), cfg, bounds), Exhausted)
+
+
+def test_base_checks_are_decided_once_per_class(monkeypatch):
+    # The (mr) probe reads no letter in its keyed checks, so each class of
+    # key tuples is decided once across all valuations: 2,511 base checks
+    # at four worlds, where deciding each tuple of each valuation took 19,933.
+    calls = []
+    real = rbb.search._base_fault
+    monkeypatch.setattr(
+        rbb.search, "_base_fault", lambda *args: calls.append(1) or real(*args)
+    )
+    cfg = TheoryConfig.from_name("RBBs", ("r", "s"), ("p", "q"))
+    bounds = SearchBounds(max_worlds=4, budget_secs=None)
+    goal = parse("B r & r:p -> sigma:p", cfg)
+    assert isinstance(check_nonvalidity(goal, cfg, bounds), Exhausted)
+    assert len(calls) == 2511
 
 
 def test_five_worlds_stay_within_the_budget():
@@ -365,11 +389,35 @@ PRUNING_CASES = [
     ids=["".join(f"{case[0]}:{'/'.join(case[3])}".split()) for case in PRUNING_CASES],
 )
 def test_pruning_drops_no_witness(theory, reasons, letters, texts):
+    _assert_pruning_drops_no_witness(theory, reasons, letters, texts, 2)
+
+
+# Keyed cases whose unpruned walk at three worlds takes a few seconds at
+# most: there two non-point worlds can share a valuation, so the relation
+# walk's checks are decided once per class.  The last has a check at the
+# second reason, and reads no diagonal beyond the point.
+PRUNING_CASES_AT_THREE = [
+    ("RBB", ("r",), ("p",), ("~B (B p)", "B p", "r", "~p")),
+    ("RBBs+", ("r",), ("p",), ("B p", "~B (~p)")),
+    ("RBB", ("r", "s"), ("p",), ("r:p | s", "~B r")),
+]
+
+
+@pytest.mark.parametrize(
+    "theory,reasons,letters,texts",
+    PRUNING_CASES_AT_THREE,
+    ids=["".join(f"{c[0]}:{'/'.join(c[3])}".split()) for c in PRUNING_CASES_AT_THREE],
+)
+def test_pruning_drops_no_witness_at_three_worlds(theory, reasons, letters, texts):
+    _assert_pruning_drops_no_witness(theory, reasons, letters, texts, 3)
+
+
+def _assert_pruning_drops_no_witness(theory, reasons, letters, texts, worlds):
     # The quick checks are exact: the pruned walk yields, in order, just the
     # unpruned candidates that pass the public checks.
     cfg = TheoryConfig.from_name(theory, reasons, letters)
     goals = tuple(parse(t, cfg) for t in texts)
-    bounds = SearchBounds(max_worlds=2, budget_secs=None)
+    bounds = SearchBounds(max_worlds=worlds, budget_secs=None)
     wanted = [
         Witness(model, point)
         for model, point in iter_candidates(goals, cfg, bounds, prune=False)
@@ -514,3 +562,104 @@ def test_false_equation_instance_is_dropped():
     schedule = _schedule((goal,), QRBB.reasons, QRBB)
     assert schedule.point == [(parse("p", QRBB), True)]
     assert _scheduled([goal], QRBB) == [parse("B p", QRBB)]
+
+
+def _keyed_check(cfg, n, letters, schedule, chosen):
+    """The keyed check at walk position len(chosen), with every declared
+    reason active, decided directly on the stand-in shapes of the keys
+    ``chosen``: its conjuncts hold at the point and, at the last position,
+    the point's base family has no fault."""
+    rows = {name: [0] * n for name in cfg.reasons}
+    diag = dict.fromkeys(cfg.reasons, 0)
+    for name, key in zip(cfg.reasons, chosen):
+        rows[name], diag[name] = _shape(n, key)
+    ctx = _Ctx(cfg, n, letters, rows, diag, (0,) * n)
+    k = len(chosen)
+    up = [superset_family(row, n) for row in range(1 << n)]
+    return all(ctx.extension(g) & 1 for g in schedule.relations.get(k, [])) and not (
+        k == len(cfg.reasons) and _base_fault(ctx, 0, up, *_point_sets(schedule, ctx))
+    )
+
+
+def _class_of(cfg, n, letters, schedule, chosen):
+    vectors = _letter_vectors(schedule, cfg, letters, n, len(cfg.reasons))
+    for k, key in enumerate(chosen):
+        vectors = _append_key(vectors, key, k)
+    return _class_key(len(chosen), vectors)
+
+
+def _near(n, letters, chosen):
+    """The images of (valuation, keys) under each order of the non-point
+    worlds, each one-bit change of a letter or a key, and its prefixes."""
+    for order in itertools.permutations(range(1, n)):
+        order = (0, *order)
+
+        def move(mask):
+            return sum((mask >> i & 1) << order[i] for i in range(n))
+
+        yield {p: move(mask) for p, mask in letters.items()}, tuple(
+            (move(row), move(d)) for row, d in chosen
+        )
+    for i in range(n):
+        for p in letters:
+            yield {**letters, p: letters[p] ^ 1 << i}, chosen
+        for j, (row, d) in enumerate(chosen):
+            # The point's diagonal bit is its own row's bit at the point.
+            changed = [(row ^ 1 << i, d ^ (i == 0))] + [(row, d ^ 1 << i)] * (i > 0)
+            for key in changed:
+                yield letters, (*chosen[:j], key, *chosen[j + 1:])
+    for k in range(len(chosen)):
+        yield letters, chosen[:k]
+
+
+# Keyed pieces, with no Supports inside another modality.  q is read only
+# by the belief operand of B (q | s); r:(s | p) has an adequacy atom inside
+# Supports; r:p | s:q and r:(s | p) are checked once both reasons are fixed.
+# RBBs+ takes sigma for s.
+KEYED_PIECES = (
+    "r:p", "s:q", "r:(s | p)", "s:(~r | p)", "r:p | s:q", "r | s:p", "~r:p | s",
+    "B (q | s)", "~B (p & r)", "B r", "p", "q",
+)
+SIGMA_PIECES = ("sigma:p", "sigma | r:q", "~sigma:(p | s)", "B (q | sigma)")
+
+
+def test_keyed_checks_agree_within_a_class():
+    # The verdict memo rests on this: a keyed check reads each world only
+    # through the letters of `_letter_vectors` and each fixed key's point-row
+    # bit and diagonal bit there, and the point only through its own, so
+    # the checks of one class, from any valuation, give one verdict.
+    rng = random.Random(5)
+    cfgs = (
+        TheoryConfig.from_name("RBB", ("r", "s"), ("p", "q")),
+        TheoryConfig.from_name("RBBs", ("r", "s"), ("p", "q")),
+        TheoryConfig.from_name("RBBs+", ("r",), ("p", "q")),
+    )
+    sets = shared = 0
+    while sets < 120:
+        cfg = cfgs[sets % 3]
+        pieces = KEYED_PIECES + SIGMA_PIECES * (cfg.name == "RBBs")
+        texts = rng.sample(pieces, rng.randint(2, 4))
+        if cfg.name == "RBBs+":
+            texts = [t.replace("s", "sigma") for t in texts]
+        goals = {
+            c
+            for t in texts
+            for c in _conjuncts(parse(t if rng.random() < 0.7 else f"~({t})", cfg))
+        }
+        schedule = _schedule(tuple(sorted(goals, key=print_formula)), cfg.reasons, cfg)
+        if schedule is None:
+            continue
+        n = 4 if sets % 4 == 0 else 3
+        sets += 1
+        verdicts = {}
+        for _ in range(6):
+            letters = {p: rng.randrange(1 << n) for p in cfg.letters}
+            rows = [rng.randrange(1 << n) for _ in range(rng.randint(1, len(cfg.reasons)))]
+            keys = tuple((row, rng.randrange(1 << n) & ~1 | row & 1) for row in rows)
+            for valuation, chosen in [(letters, keys), *_near(n, letters, keys)]:
+                got = _keyed_check(cfg, n, valuation, schedule, chosen)
+                group = _class_of(cfg, n, valuation, schedule, chosen)
+                verdicts.setdefault(group, []).append(got)
+        assert all(len(set(v)) == 1 for v in verdicts.values()), texts
+        shared += sum(len(v) > 1 for v in verdicts.values())
+    assert shared > 1000
