@@ -104,28 +104,41 @@ def _theory(args: argparse.Namespace) -> TheoryConfig:
     )
 
 
+def _number(convert: type, text: str, what: str):
+    """``convert(text)``, or a ValueError that names what the text is for."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{what} needs {kind}, got {text!r}") from None
+
+
 def _bounds(args: argparse.Namespace) -> SearchBounds:
     """Fold ``--bounds KEY=VALUE`` clauses over the defaults."""
     worlds, seeds = 3, 4
-    budget: float | None = float(
-        os.environ.get("RBB_BUDGET_SECS", DEFAULT_BUDGET_SECS)
-    )
+    budget: float | None = DEFAULT_BUDGET_SECS
+    budget_given = False
     for clause in args.bounds or ():
         for piece in clause.split(","):
             key, eq, value = piece.partition("=")
             key, value = key.strip(), value.strip()
             if not eq:
                 raise ValueError(f"bounds take KEY=VALUE, got {piece!r}")
+            what = f"bound {key!r}"
             if key == "worlds":
-                worlds = int(value)
+                worlds = _number(int, value, what)
             elif key == "seeds":
-                seeds = int(value)
+                seeds = _number(int, value, what)
             elif key == "budget":
-                budget = None if value in ("none", "0") else float(value)
+                budget = None if value in ("none", "0") else _number(float, value, what)
+                budget_given = True
             else:
                 raise ValueError(
                     f"unknown bound {key!r}; expected worlds, seeds, or budget"
                 )
+    env = os.environ.get("RBB_BUDGET_SECS")
+    if env is not None and not budget_given:
+        budget = _number(float, env, "RBB_BUDGET_SECS")
     return SearchBounds(max_worlds=worlds, max_seeds=seeds, budget_secs=budget)
 
 

@@ -369,16 +369,6 @@ def scenario_to_doc(sc: Scenario) -> dict:
     }
 
 
-def scenario_from_doc(doc: dict) -> Scenario:
-    cfg = TheoryConfig.from_doc(doc["theory"])
-    return Scenario(
-        name=doc["name"],
-        theory=cfg,
-        assumptions=frozenset(parse(t, cfg) for t in doc["assumptions"]),
-        focus=tuple((label, parse(t, cfg)) for label, t in doc["queries"]),
-    )
-
-
 def report_to_doc(report: ScenarioReport) -> dict:
     return {
         "scenario": scenario_to_doc(report.scenario),

@@ -5,7 +5,9 @@ formulas, built step by step from axiom instances and the primitive rules.
 There is no deduction theorem in the object logic, so multi-premise
 arguments are glued together the long way: derive the premises, add one
 classical tautology chaining them to the goal, and discharge with repeated
-modus ponens.  The `_Builder.chain` helper packages that pattern.
+modus ponens.  The `_Builder.chain` helper packages that pattern, and
+`_Builder.lift` packages the (Gen), (UD), (MP) ladder that moves a quantifier
+into the consequent.
 
 Schema-shaped results (closure under consequence, the quantifier rule
 lemmas) are shipped at representative instantiations; `closure_rule_instance`
@@ -73,6 +75,16 @@ class _Builder:
 
     def gen(self, source: int, var: str) -> int:
         return self._push(ForAll(var, self.formula(source)), Gen(source, var))
+
+    def lift(self, source: int, var: str) -> int:
+        """From ``A -> B``: (Gen), the (UD) instance, then ``A -> (A var. B)``."""
+        pair = as_implies(self.formula(source))
+        assert pair is not None
+        closed = self.gen(source, var)
+        ud = self.axiom(
+            SchemeId.UD, impl(self.formula(closed), impl(pair[0], ForAll(var, pair[1])))
+        )
+        return self.mp(closed, ud)
 
     def chain(self, goal: Formula, *premises: int) -> int:
         """Tautology step (prem1 -> (... -> goal)) plus the MP cascade."""
@@ -190,8 +202,9 @@ def _bsigma() -> Proof:
 # -- quantifier lemmas, all under QRBB ---------------------------------------
 #
 # (UI) with the bound symbol itself as substituent yields the bare
-# "instantiate to the body" step; (Gen) then (UD) then (MP) is the standard
-# ladder for moving a quantifier to the consequent.
+# "instantiate to the body" step; `_Builder.lift` is the (Gen), (UD), (MP)
+# ladder for moving a quantifier to the consequent, and `_Builder.chain`
+# glues the pieces together.
 
 
 def _distributivity() -> Proof:
@@ -203,10 +216,7 @@ def _distributivity() -> Proof:
     b = _Builder(_QUANT)
     u1 = b.axiom(SchemeId.UI, impl(all_impl, impl(phi, psi)))
     u2 = b.axiom(SchemeId.UI, impl(all_phi, phi))
-    glued = b.chain(impl(both, psi), u1, u2)
-    closed = b.gen(glued, "r")
-    ud = b.axiom(SchemeId.UD, impl(ForAll("r", impl(both, psi)), impl(both, ForAll("r", psi))))
-    out = b.mp(closed, ud)
+    out = b.lift(b.chain(impl(both, psi), u1, u2), "r")
     b.chain(impl(all_impl, impl(all_phi, ForAll("r", psi))), out)
     return b.build("Distributivity")
 
@@ -218,13 +228,7 @@ def _distribution_rule() -> Proof:
     b = _Builder(_QUANT)
     prem = b.axiom(SchemeId.CL, impl(phi, psi))
     inst = b.axiom(SchemeId.UI, impl(all_phi, phi))
-    lifted = b.chain(impl(all_phi, psi), prem, inst)
-    closed = b.gen(lifted, "r")
-    ud = b.axiom(
-        SchemeId.UD,
-        impl(ForAll("r", impl(all_phi, psi)), impl(all_phi, ForAll("r", psi))),
-    )
-    b.mp(closed, ud)
+    b.lift(b.chain(impl(all_phi, psi), prem, inst), "r")
     return b.build("DistributionRule")
 
 
@@ -232,18 +236,8 @@ def _renaming_rule() -> Proof:
     all_r = ForAll("r", Supports(_R, _P))
     all_s = ForAll("s", Supports(_S, _P))
     b = _Builder(_QUANT)
-
-    def direction(source: Formula, var: str, instance: Formula, target: Formula) -> int:
-        inst = b.axiom(SchemeId.UI, impl(source, instance))
-        closed = b.gen(inst, var)
-        ud = b.axiom(
-            SchemeId.UD,
-            impl(ForAll(var, impl(source, instance)), impl(source, target)),
-        )
-        return b.mp(closed, ud)
-
-    fwd = direction(all_r, "s", Supports(_S, _P), all_s)
-    bwd = direction(all_s, "r", Supports(_R, _P), all_r)
+    fwd = b.lift(b.axiom(SchemeId.UI, impl(all_r, Supports(_S, _P))), "s")
+    bwd = b.lift(b.axiom(SchemeId.UI, impl(all_s, Supports(_R, _P))), "r")
     b.chain(iff(all_r, all_s), fwd, bwd)
     return b.build("RenamingRule")
 
@@ -255,19 +249,13 @@ def _equivalence_rule() -> Proof:
     all_phi2 = ForAll("r", phi2)
     b = _Builder(_QUANT)
 
-    def direction(lo: Formula, hi: Formula, all_lo: Formula, all_hi: Formula) -> int:
+    def direction(lo: Formula, hi: Formula, all_lo: Formula) -> int:
         taut = b.axiom(SchemeId.CL, impl(lo, hi))
         inst = b.axiom(SchemeId.UI, impl(all_lo, lo))
-        body = b.chain(impl(all_lo, hi), taut, inst)
-        closed = b.gen(body, "r")
-        ud = b.axiom(
-            SchemeId.UD,
-            impl(ForAll("r", impl(all_lo, hi)), impl(all_lo, ForAll("r", hi))),
-        )
-        return b.mp(closed, ud)
+        return b.lift(b.chain(impl(all_lo, hi), taut, inst), "r")
 
-    fwd = direction(phi, phi2, all_phi, all_phi2)
-    bwd = direction(phi2, phi, all_phi2, all_phi)
+    fwd = direction(phi, phi2, all_phi)
+    bwd = direction(phi2, phi, all_phi2)
     b.chain(iff(all_phi, all_phi2), fwd, bwd)
     return b.build("EquivalenceRule")
 
@@ -281,18 +269,12 @@ def _exists_elim() -> Proof:
     b = _Builder(_QUANT)
     flip = b.axiom(SchemeId.CL, impl(impl(phi, psi), contra))
     inst = b.axiom(SchemeId.UI, impl(all_impl, impl(phi, psi)))
-    body = b.chain(impl(all_impl, contra), flip, inst)
-    closed = b.gen(body, "r")
-    ud1 = b.axiom(
-        SchemeId.UD,
-        impl(ForAll("r", impl(all_impl, contra)), impl(all_impl, ForAll("r", contra))),
-    )
-    lifted = b.mp(closed, ud1)
-    ud2 = b.axiom(
+    lifted = b.lift(b.chain(impl(all_impl, contra), flip, inst), "r")
+    ud = b.axiom(
         SchemeId.UD,
         impl(ForAll("r", contra), impl(Not(psi), ForAll("r", Not(phi)))),
     )
-    b.chain(impl(all_impl, impl(exists("r", phi), psi)), lifted, ud2)
+    b.chain(impl(all_impl, impl(exists("r", phi), psi)), lifted, ud)
     return b.build("ExistsElim")
 
 
@@ -309,51 +291,24 @@ def _exists_intro() -> Proof:
 
     intro = b.axiom(SchemeId.CL, impl(psi, step))
     inst = b.axiom(SchemeId.UI, impl(all_psi, psi))
-    body = b.chain(impl(all_psi, step), intro, inst)
-    closed = b.gen(body, "r")
-    ud = b.axiom(
-        SchemeId.UD,
-        impl(ForAll("r", impl(all_psi, step)), impl(all_psi, ForAll("r", step))),
-    )
-    shifted = b.mp(closed, ud)
+    shifted = b.lift(b.chain(impl(all_psi, step), intro, inst), "r")
 
     u1 = b.axiom(SchemeId.UI, impl(ForAll("r", step), step))
     u2 = b.axiom(SchemeId.UI, impl(all_nphi, Not(phi)))
     paired = conj(ForAll("r", step), all_nphi)
-    glued = b.chain(impl(paired, gap), u1, u2)
-    closed2 = b.gen(glued, "r")
-    ud2 = b.axiom(
-        SchemeId.UD,
-        impl(ForAll("r", impl(paired, gap)), impl(paired, all_gap)),
-    )
-    dist_body = b.mp(closed2, ud2)
+    dist_body = b.lift(b.chain(impl(paired, gap), u1, u2), "r")
     distributed = b.chain(impl(ForAll("r", step), impl(all_nphi, all_gap)), dist_body)
     merged = b.chain(impl(all_psi, impl(all_nphi, all_gap)), shifted, distributed)
     squashed = b.chain(impl(conj(all_psi, all_nphi), all_gap), merged)
 
-    refl = b.axiom(SchemeId.CL, impl(psi, psi))
-    closed3 = b.gen(refl, "r")
-    ud3 = b.axiom(
-        SchemeId.UD,
-        impl(ForAll("r", impl(psi, psi)), impl(psi, all_psi)),
-    )
-    raise_psi = b.mp(closed3, ud3)
+    raise_psi = b.lift(b.axiom(SchemeId.CL, impl(psi, psi)), "r")
 
     halfway = b.chain(impl(conj(psi, all_nphi), all_gap), squashed, raise_psi)
     flipped = b.chain(impl(Not(all_gap), impl(psi, Not(all_nphi))), halfway)
 
     unpack = b.axiom(SchemeId.CL, impl(gap, Not(impl(psi, phi))))
     u3 = b.axiom(SchemeId.UI, impl(all_gap, gap))
-    lowered = b.chain(impl(all_gap, Not(impl(psi, phi))), unpack, u3)
-    closed4 = b.gen(lowered, "r")
-    ud4 = b.axiom(
-        SchemeId.UD,
-        impl(
-            ForAll("r", impl(all_gap, Not(impl(psi, phi)))),
-            impl(all_gap, ForAll("r", Not(impl(psi, phi)))),
-        ),
-    )
-    pushed = b.mp(closed4, ud4)
+    pushed = b.lift(b.chain(impl(all_gap, Not(impl(psi, phi))), unpack, u3), "r")
 
     goal = impl(exists("r", impl(psi, phi)), impl(psi, exists("r", phi)))
     b.chain(goal, pushed, flipped)

@@ -152,14 +152,8 @@ class _Parser:
 
     def _resolve_atom(self, tok: _Token, bound: frozenset[str]) -> Formula:
         name = tok.text
-        if name in bound:
-            return Adequate(atom_term(name))
-        if name == SIGMA_NAME:
-            if not self.cfg.sigma:
-                raise ParseError("'sigma' requires a sigma theory", tok.span)
-            return Adequate(Sigma())
-        if name in self.cfg.reasons:
-            return Adequate(Basic(name))
+        if name in bound or name == SIGMA_NAME or name in self.cfg.reasons:
+            return Adequate(self._resolve_reason(tok, bound))
         if name in self.cfg.letters:
             return Letter(name)
         raise ParseError(f"undeclared symbol {name!r}", tok.span)
@@ -276,7 +270,8 @@ class _Parser:
                 raise ParseError("application terms require the App variant", star.span)
             term = App(term, self.app_factor(bound))
         if self.accept(":"):
-            return Supports(term, self.support_operand(bound))
+            # The right operand of ':': an atom, possibly itself a support chain.
+            return Supports(term, self.atom(bound))
         return Adequate(term)
 
     def app_factor(self, bound: frozenset[str]) -> Reason:
@@ -294,10 +289,6 @@ class _Parser:
         while self.accept("*"):
             term = App(term, self.app_factor(bound))
         return term
-
-    def support_operand(self, bound: frozenset[str]) -> Formula:
-        """The right operand of ':': an atom, possibly itself a support chain."""
-        return self.atom(bound)
 
 
 def parse(text: str, cfg: TheoryConfig) -> Formula:

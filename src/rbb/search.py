@@ -882,16 +882,6 @@ def bounds_to_doc(bounds: SearchBounds) -> dict:
     }
 
 
-def bounds_from_doc(doc: dict) -> SearchBounds:
-    return SearchBounds(
-        max_worlds=doc.get("max_worlds", 3),
-        max_seeds=doc.get("max_seeds", 4),
-        budget_secs=doc.get("budget_secs", 30.0),
-        reasons=tuple(doc["reasons"]) if doc.get("reasons") is not None else None,
-        letters=tuple(doc["letters"]) if doc.get("letters") is not None else None,
-    )
-
-
 def outcome_to_doc(outcome: SearchOutcome) -> dict:
     if isinstance(outcome, Witness):
         return {"kind": "witness", "model": model_to_doc(outcome.model, outcome.world)}

@@ -325,10 +325,6 @@ def free_reasons(formula: Formula) -> frozenset[str]:
     return frozenset(out)
 
 
-def bound_vars(formula: Formula) -> frozenset[str]:
-    return frozenset(f.var for f in subformulas(formula) if isinstance(f, ForAll))
-
-
 def is_free_for(s: str, r: str, formula: Formula) -> bool:
     """True when substituting ``s`` for free ``r`` in ``formula`` captures nothing.
 

@@ -435,6 +435,13 @@ def test_budget_env_override(capsys, monkeypatch):
     )
     assert code == EXIT_BUDGET
     assert out.startswith("budget exceeded: stopped after")
+    # A malformed variable is named, and an explicit budget bound wins over it.
+    monkeypatch.setenv("RBB_BUDGET_SECS", "x")
+    code, _, err = run(capsys, "find-model", "p")
+    assert code == EXIT_BAD_INPUT
+    assert err == "error: RBB_BUDGET_SECS needs a number, got 'x'\n"
+    code, _, _ = run(capsys, "find-model", "p", "--bounds", "budget=1")
+    assert code == EXIT_OK
 
 
 def test_bounds_parsing(capsys):
@@ -444,6 +451,15 @@ def test_bounds_parsing(capsys):
     assert code == EXIT_BAD_INPUT and "unknown bound" in err
     code, _, _ = run(capsys, "find-model", "p", "--bounds", "worlds=1,budget=none")
     assert code == EXIT_OK
+    # A malformed value names its bound instead of Python's conversion message.
+    for bound, message in [
+        ("worlds=x", "bound 'worlds' needs an integer, got 'x'"),
+        ("seeds=1.5", "bound 'seeds' needs an integer, got '1.5'"),
+        ("budget=abc", "bound 'budget' needs a number, got 'abc'"),
+    ]:
+        code, _, err = run(capsys, "nonvalid", "p", "--bounds", bound)
+        assert code == EXIT_BAD_INPUT
+        assert err == f"error: {message}\n"
 
 
 def test_scenario_json_default(capsys):

@@ -20,8 +20,6 @@ from rbb.jtb import (
     report_to_doc,
     report_to_text,
     scenario,
-    scenario_from_doc,
-    scenario_to_doc,
 )
 from rbb.parser import parse, print_formula
 from rbb.search import Exhausted, SearchBounds, Witness
@@ -83,12 +81,6 @@ def test_scenario_construction_errors():
         Scenario("bad", rbb, frozenset([parse("A u. u:p", QCFG)]), ())
     with pytest.raises(UnknownSymbol):
         Scenario("bad", rbb, frozenset(), (("q", Letter("q")),))
-
-
-def test_scenario_doc_round_trip():
-    for name in SCENARIO_NAMES:
-        sc = scenario(name)
-        assert scenario_from_doc(scenario_to_doc(sc)) == sc
 
 
 def test_non_closure_report():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from rbb.library import derived_library
@@ -187,6 +190,18 @@ def test_library_is_fully_accepted():
     for name, thm in lib.items():
         assert thm.verdict.accepted, name
         assert check_proof(thm.proof, lib).accepted, name
+
+
+# sha256 of the library's proof documents (14 theorems, 154 steps), frozen so
+# that a rewrite of library.py must keep every step formula and justification
+LIBRARY_DIGEST = "6a26bfde3b8da38ef28610695e970d4f301e56a93fff26f6b1b54d90d7263622"
+
+
+def test_library_proofs_are_pinned():
+    lib = derived_library()
+    text = json.dumps([proof_to_doc(lib[n].proof) for n in sorted(lib)], sort_keys=True)
+    assert sum(len(thm.proof.steps) for thm in lib.values()) == 154
+    assert hashlib.sha256(text.encode()).hexdigest() == LIBRARY_DIGEST
 
 
 def test_doc_round_trip_every_library_proof():

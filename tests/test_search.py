@@ -23,7 +23,6 @@ from rbb.search import (
     Exhausted,
     SearchBounds,
     Witness,
-    bounds_from_doc,
     bounds_to_doc,
     check_nonvalidity,
     find_model,
@@ -80,12 +79,6 @@ def test_nan_budget_is_refused():
     # NaN is not <= 0 and no clock is ever past it, so it would lift the budget.
     with pytest.raises(ValueError, match="budget"):
         SearchBounds(budget_secs=float("nan"))
-
-
-def test_bounds_doc_round_trip():
-    b = SearchBounds(max_worlds=4, max_seeds=2, budget_secs=None)
-    assert bounds_from_doc(bounds_to_doc(b)) == b
-    assert bounds_from_doc({}) == SearchBounds()
 
 
 def test_outcome_docs():
