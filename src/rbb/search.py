@@ -76,7 +76,10 @@ valuation at once.  A keyed check reads a world only through its vector
 there: the letters of the relation conjuncts, of the point's belief
 operands and of (pr), and each fixed key's point-row and diagonal bits.
 So one memo per world count decides it once per class: its position, the
-point's vector and the other worlds' vectors, sorted.  With no adequacy
+point's vector and the other worlds' vectors, sorted.  Whether a prefix
+has a completion also reads the letters of later reasons' own conjuncts,
+so a memo per valuation answers it once per orbit: the class with each
+world's active-letter bits next to its vector.  With no adequacy
 atom in Supports and an empty base family (no sigma, no positive point
 belief literal), a point row is its one key; own conjuncts that read no
 diagonal beyond the point are checked once per point row anyway.
@@ -90,9 +93,9 @@ assignment before any menu is built: at the point in the walk, and at the
 other worlds in the family stage.
 
 The budget is polled at the first step and every 128th after it.  A step
-is a relation step (a check asked, whether the memo answers it or not, a
-shape walked, or a point row skipped) or a family combination, and
-`BudgetExceeded` counts both.
+is a relation step (a check or a completion asked, whether a memo
+answers it or not, a shape walked, or a point row skipped) or a family
+combination, and `BudgetExceeded` counts both.
 
 A candidate that survives the quick checks is rebuilt as a public
 :class:`~rbb.semantics.Model` and re-examined with `validate_model` and
@@ -333,14 +336,9 @@ def _believed_operands(
     return tuple(dict.fromkeys(operands))
 
 
-def _seed_pool(
-    active: tuple[str, ...],
-    diag: dict[str, int],
-    operands: tuple[Formula, ...],
-    ctx: _Ctx,
-) -> list[int]:
+def _seed_pool(active: tuple[str, ...], operands: tuple[Formula, ...], ctx: _Ctx) -> list[int]:
     """Sets worth offering a neighborhood family, first occurrence first."""
-    masks = [diag[name] for name in active]
+    masks = [ctx.diag[name] for name in active]
     masks.extend(ctx.extension(body) for body in operands)
     return list(dict.fromkeys(masks))
 
@@ -462,6 +460,12 @@ def _class_key(k: int, vectors: list[int]) -> tuple[int, ...]:
     return (k, vectors[0], *sorted(vectors[1:]))
 
 
+def _orbit_key(k: int, vectors: list[int], tags: list[int]) -> tuple:
+    """The orbit of a prefix at walk position k: its class, with each
+    world's active-letter bits ``tags`` next to its vector."""
+    return (k, (vectors[0], tags[0]), *sorted(zip(vectors[1:], tags[1:])))
+
+
 def _point_sets(schedule: _Schedule, ctx: _Ctx) -> tuple[int, int]:
     """The world sets the point's belief literals ask N(w0) to hold
     (``need``) and to lack (``avoid``), as families.  Their operands are
@@ -493,19 +497,19 @@ def _family_menu(
     ctx: _Ctx,
     up: list[int],
     i: int,
-    world: str,
-    forced: int,
     prune: bool,
-    need: int,
-    avoid: int,
+    need: int = 0,
+    avoid: int = 0,
 ) -> list[int]:
-    """Deduplicated seed closures for world i, smallest seed sets first.
+    """Deduplicated seed closures for world i, each holding the forced sigma
+    seed, smallest seed sets first.
 
     Pruning keeps only the families with every world set of ``need`` and
     none of ``avoid`` as members.
     """
     menu: list[int] = []
     seen: set[int] = set()
+    forced = 1 << ctx.diag[SIGMA_NAME] if ctx.cfg.sigma else 0
     for size in range(min(bounds.max_seeds, len(pool)) + 1):
         for picks in itertools.combinations(pool, size):
             family = forced
@@ -518,7 +522,7 @@ def _family_menu(
             if prune and (
                 family & need != need
                 or family & avoid
-                or next(ctx.faults(i, family, up, world), None) is not None
+                or next(ctx.faults(i, family, up, f"w{i}"), None) is not None
             ):
                 continue
             menu.append(family)
@@ -580,7 +584,6 @@ def iter_candidates(
             )
 
     for n in range(1, bounds.max_worlds + 1):
-        world_names = tuple(f"w{i}" for i in range(n))
         up = [superset_family(row, n) for row in range(1 << n)]
         unfixed = (0,) * n
         verdicts: dict[tuple[int, ...], bool] = {}
@@ -602,8 +605,7 @@ def iter_candidates(
                 )
                 for ctx in walk:
                     yield from _family_stage(
-                        bounds, world_names, active_reasons, operands, ctx, up,
-                        point_ready, schedule, tick,
+                        bounds, active_reasons, operands, ctx, up, point_ready, schedule, tick,
                     )
 
 
@@ -626,7 +628,7 @@ def _relation_walk(
     i)`` says whether key i of ``menus[k]`` passes the checks at position
     k + 1 after the keys ``prefix`` and has a completion; the answers are
     kept per prefix, with its world vectors, in a bytearray: 0 unknown,
-    1 fails, 2 passes.
+    1 fails, 2 passes.  Whether a prefix has a completion is kept per orbit.
     """
     m, unfixed = len(active), (0,) * n
 
@@ -674,7 +676,9 @@ def _relation_walk(
             return
         index = [{key: i for i, key in enumerate(menu)} for menu in menus]
         start = _letter_vectors(schedule, cfg, letters, n, m)
+        tags = [sum((x >> i & 1) << j for j, x in enumerate(letters.values())) for i in range(n)]
         memo = {(): (bytearray(len(menus[0]) if m else 0), start)}
+        completions: dict[tuple, bool] = {}
 
         def ok(prefix: tuple[tuple[int, int], ...], i: int) -> bool:
             k = len(prefix)
@@ -684,17 +688,20 @@ def _relation_walk(
                 passed = True
                 if schedule.relations.get(k + 1) or k + 1 == m and schedule.prune:
                     key = _class_key(k + 1, grown)
-                    if key in verdicts:  # a check the memo answers is a step too
+                    if key in verdicts:  # an answer from a memo is a step too
                         tick(RELATION)
                     else:
                         verdicts[key] = passes([_shape(n, c) for c in chosen], [])
                     passed = verdicts[key]
                 if passed and k + 1 < m:
                     memo[chosen] = bytearray(len(menus[k + 1])), grown
-                state[i] = 1 + (
-                    passed
-                    and (k + 1 == m or any(ok(chosen, j) for j in range(len(menus[k + 1]))))
-                )
+                    orbit = _orbit_key(k + 1, grown, tags)
+                    if orbit in completions:
+                        tick(RELATION)
+                    else:
+                        completions[orbit] = any(ok(chosen, j) for j in range(len(menus[k + 1])))
+                    passed = completions[orbit]
+                state[i] = 1 + passed
             return state[i] == 2
 
     elif not all(
@@ -735,7 +742,6 @@ def _relation_walk(
 
 def _family_stage(
     bounds: SearchBounds,
-    world_names: tuple[str, ...],
     active: tuple[str, ...],
     operands: tuple[Formula, ...],
     ctx: _Ctx,
@@ -759,12 +765,8 @@ def _family_stage(
     prune = schedule.prune
     if prune and any(_base_fault(ctx, i, up) for i in range(1, n)):
         return
-    forced = 1 << diag[SIGMA_NAME] if cfg.sigma else 0
-    pool = _seed_pool(active, diag, operands, ctx)
-    need, avoid = _point_sets(schedule, ctx)
-    point_menu = _family_menu(
-        bounds, pool, ctx, up, 0, world_names[0], forced, prune, need, avoid
-    )
+    pool = _seed_pool(active, operands, ctx)
+    point_menu = _family_menu(bounds, pool, ctx, up, 0, prune, *_point_sets(schedule, ctx))
     if not point_menu:
         return
     menus = [point_menu]
@@ -772,9 +774,7 @@ def _family_stage(
     # world gets the minimal family, the closure of the forced seed alone.
     rest_pool = [] if point_ready else pool
     for i in range(1, n):
-        menu = _family_menu(
-            bounds, rest_pool, ctx, up, i, world_names[i], forced, prune, 0, 0
-        )
+        menu = _family_menu(bounds, rest_pool, ctx, up, i, prune)
         if not menu:
             return
         menus.append(menu)
@@ -785,17 +785,17 @@ def _family_stage(
             at = _Ctx(cfg, n, ctx.letters, ctx.rows, diag, combo)
             if not all(at.extension(g) & 1 for g in staged):
                 continue
-        yield _assemble(cfg, world_names, ctx.letters, ctx.rows, combo), world_names[0]
+        yield _assemble(cfg, ctx.letters, ctx.rows, combo), "w0"
 
 
 def _assemble(
     cfg: TheoryConfig,
-    world_names: tuple[str, ...],
     letters: dict[str, int],
     rows: dict[str, list[int]],
     families: tuple[int, ...],
 ) -> Model:
-    n = len(world_names)
+    n = len(families)
+    world_names = tuple(f"w{i}" for i in range(n))
     access: dict[str, set[tuple[str, str]]] = {name: set() for name in cfg.reasons}
     for name, row_list in rows.items():
         for i in range(n):

@@ -16,6 +16,7 @@ from rbb.search import (
     _class_key,
     _conjuncts,
     _letter_vectors,
+    _orbit_key,
     _point_sets,
     _schedule,
     _shape,
@@ -285,6 +286,22 @@ def test_base_checks_are_decided_once_per_class(monkeypatch):
     assert len(calls) == 2511
 
 
+def test_forward_checks_are_answered_once_per_orbit(monkeypatch):
+    # Each forward check extends a prefix's world vectors once, so counting
+    # the extensions counts the checks: 11,960 for the (mr) probe at four
+    # worlds, where asking each prefix for its completion made 20,228.
+    calls = []
+    real = rbb.search._append_key
+    monkeypatch.setattr(
+        rbb.search, "_append_key", lambda *args: calls.append(1) or real(*args)
+    )
+    cfg = TheoryConfig.from_name("RBBs", ("r", "s"), ("p", "q"))
+    bounds = SearchBounds(max_worlds=4, budget_secs=None)
+    goal = parse("B r & r:p -> sigma:p", cfg)
+    assert isinstance(check_nonvalidity(goal, cfg, bounds), Exhausted)
+    assert len(calls) == 11960
+
+
 def test_five_worlds_stay_within_the_budget():
     # An unrestricted reason has 32^5 shapes at five worlds.  The walk makes
     # them one point row at a time and polls the budget as it goes, so it
@@ -387,12 +404,16 @@ def test_pruning_drops_no_witness(theory, reasons, letters, texts):
 
 # Keyed cases whose unpruned walk at three worlds takes a few seconds at
 # most: there two non-point worlds can share a valuation, so the relation
-# walk's checks are decided once per class.  The last has a check at the
-# second reason, and reads no diagonal beyond the point.
+# walk's checks are decided once per class.  The third has a check at the
+# second reason, and reads no diagonal beyond the point.  In the last only
+# the second reason's own conjunct reads q, so whether r's keys have a
+# completion turns on q at the worlds r's diagonal holds: the completion
+# memo must tell those worlds apart.
 PRUNING_CASES_AT_THREE = [
     ("RBB", ("r",), ("p",), ("~B (B p)", "B p", "r", "~p")),
     ("RBBs+", ("r",), ("p",), ("B p", "~B (~p)")),
     ("RBB", ("r", "s"), ("p",), ("r:p | s", "~B r")),
+    ("RBB", ("r", "s"), ("q",), ("~s:q", "s:r", "~B r")),
 ]
 
 
@@ -656,3 +677,100 @@ def test_keyed_checks_agree_within_a_class():
         assert all(len(set(v)) == 1 for v in verdicts.values()), texts
         shared += sum(len(v) > 1 for v in verdicts.values())
     assert shared > 1000
+
+
+def _completes(cfg, n, letters, schedule, chosen, menus, checks):
+    """Whether the keys ``chosen`` have a completion: a key from ``menus``
+    for each later reason such that every keyed check after them passes."""
+    if len(chosen) == len(cfg.reasons):
+        return True
+    for key in menus[len(chosen)]:
+        longer = (*chosen, key)
+        if longer not in checks:
+            checks[longer] = _keyed_check(cfg, n, letters, schedule, longer)
+        if checks[longer] and _completes(cfg, n, letters, schedule, longer, menus, checks):
+            return True
+    return False
+
+
+def _own_menus(cfg, n, letters, schedule):
+    """Each reason's (point row, diagonal) keys that pass its own conjuncts,
+    decided on its stand-in shape alone."""
+    menus = []
+    for name in cfg.reasons:
+        keys = []
+        for row, d in itertools.product(range(1 << n), range(0, 1 << n, 2)):
+            rows = {r: [0] * n for r in cfg.reasons}
+            diag = dict.fromkeys(cfg.reasons, 0)
+            rows[name], diag[name] = _shape(n, (row, d | row & 1))
+            ctx = _Ctx(cfg, n, letters, rows, diag, (0,) * n)
+            if all(ctx.extension(g) & 1 for g in schedule.reasons.get(name, [])):
+                keys.append((row, d | row & 1))
+        menus.append(keys)
+    return menus
+
+
+# Pieces whose later reason's own conjuncts read a letter no keyed check
+# reads: ~s:q asks s's point row for a q-less world, and s:r and
+# s:(~r | p) keep that row inside r's diagonal, so whether r's keys have a
+# completion turns on q at the worlds r's diagonal holds.
+ORBIT_PIECES = ("~s:q", "s:q", "s:r", "s:(~r | p)", "r:p", "B r", "r | s:p", "~B (p & s)")
+
+
+def test_completions_agree_within_an_orbit():
+    # The completion memo rests on this: whether a prefix of keys has a
+    # completion reads each world only through its vector and all its
+    # active letters, and the point likewise, so the prefixes of one orbit,
+    # from any valuation, give one answer.  A class alone does not.
+    rng = random.Random(8)
+    cfgs = (
+        TheoryConfig.from_name("RBB", ("r", "s"), ("p", "q")),
+        TheoryConfig.from_name("RBBs+", ("r",), ("p", "q")),
+        TheoryConfig.from_name("RBBs", ("r", "s"), ("p", "q")),
+    )
+    sets = shared = split = 0
+    while sets < 45:
+        cfg = cfgs[sets % 3]
+        pieces = ORBIT_PIECES + KEYED_PIECES * (sets % 2)
+        texts = rng.sample(pieces, rng.randint(2, 4))
+        if cfg.name == "RBBs+":
+            texts = [t.replace("s", "sigma") for t in texts]
+        goals = {
+            c
+            for t in texts
+            for c in _conjuncts(parse(t if rng.random() < 0.8 else f"~({t})", cfg))
+        }
+        schedule = _schedule(tuple(sorted(goals, key=print_formula)), cfg.reasons, cfg)
+        if schedule is None:
+            continue
+        n = 4 if sets % 3 == 1 and sets % 2 == 0 else 3
+        sets += 1
+        answers, classes, menus, checks = {}, {}, {}, {}
+        for _ in range(3):
+            letters = {p: rng.randrange(1 << n) for p in cfg.letters}
+            rows = [rng.randrange(1 << n) for _ in range(rng.randint(1, len(cfg.reasons) - 1))]
+            keys = tuple((row, rng.randrange(1 << n) & ~1 | row & 1) for row in rows)
+            for valuation, chosen in [(letters, keys), *_near(n, letters, keys)]:
+                if not chosen:
+                    continue
+                at = tuple(sorted(valuation.items()))
+                if at not in menus:
+                    menus[at] = _own_menus(cfg, n, valuation, schedule)
+                if any(key not in menu for key, menu in zip(chosen, menus[at])):
+                    continue
+                got = _completes(
+                    cfg, n, valuation, schedule, chosen, menus[at], checks.setdefault(at, {})
+                )
+                tags = [
+                    sum((valuation[p] >> i & 1) << j for j, p in enumerate(cfg.letters))
+                    for i in range(n)
+                ]
+                vectors = _letter_vectors(schedule, cfg, valuation, n, len(cfg.reasons))
+                for k, key in enumerate(chosen):
+                    vectors = _append_key(vectors, key, k)
+                answers.setdefault(_orbit_key(len(chosen), vectors, tags), []).append(got)
+                classes.setdefault(_class_key(len(chosen), vectors), set()).add(got)
+        assert all(len(set(v)) == 1 for v in answers.values()), texts
+        shared += sum(len(v) > 1 for v in answers.values())
+        split += sum(len(v) > 1 for v in classes.values())
+    assert shared > 100 and split > 0, (shared, split)

@@ -8,7 +8,7 @@ from copy import deepcopy
 import pytest
 
 import rbb
-from corpus import class_config, random_formula
+from corpus import random_formula
 from rbb.semantics import (
     MAX_VALIDATION_WORLDS,
     AppSemanticsUndefined,
@@ -28,7 +28,6 @@ from rbb.semantics import (
     validate_model,
 )
 from rbb.syntax import (
-    SIGMA,
     App,
     Adequate,
     Believes,
@@ -39,7 +38,6 @@ from rbb.syntax import (
     Or,
     Supports,
     atom_term,
-    free_reasons,
     is_free_for,
     substitute,
     term_name,
