@@ -7,7 +7,9 @@ arguments are glued together the long way: derive the premises, add one
 classical tautology chaining them to the goal, and discharge with repeated
 modus ponens.  The `_Builder.chain` helper packages that pattern, and
 `_Builder.lift` packages the (Gen), (UD), (MP) ladder that moves a quantifier
-into the consequent.
+into the consequent.  On top of them, `_Builder.under` lifts a tautology
+``lo -> hi`` to ``(A x. lo) -> (A x. hi)``, and `_Builder.distribute` derives
+the distributivity of ``A x.`` over ``->``.
 
 Schema-shaped results (closure under consequence, the quantifier rule
 lemmas) are shipped at representative instantiations; `closure_rule_instance`
@@ -73,18 +75,32 @@ class _Builder:
     def rn(self, source: int, reason: Reason) -> int:
         return self._push(Supports(reason, self.formula(source)), RN(source, reason))
 
-    def gen(self, source: int, var: str) -> int:
-        return self._push(ForAll(var, self.formula(source)), Gen(source, var))
-
     def lift(self, source: int, var: str) -> int:
         """From ``A -> B``: (Gen), the (UD) instance, then ``A -> (A var. B)``."""
         pair = as_implies(self.formula(source))
         assert pair is not None
-        closed = self.gen(source, var)
+        closed = self._push(ForAll(var, self.formula(source)), Gen(source, var))
         ud = self.axiom(
             SchemeId.UD, impl(self.formula(closed), impl(pair[0], ForAll(var, pair[1])))
         )
         return self.mp(closed, ud)
+
+    def under(self, var: str, lo: Formula, hi: Formula) -> int:
+        """``(A var. lo) -> (A var. hi)`` from the tautology ``lo -> hi``:
+        (CL), the (UI) instance, `chain`, then `lift`."""
+        all_lo = ForAll(var, lo)
+        taut = self.axiom(SchemeId.CL, impl(lo, hi))
+        inst = self.axiom(SchemeId.UI, impl(all_lo, lo))
+        return self.lift(self.chain(impl(all_lo, hi), taut, inst), var)
+
+    def distribute(self, var: str, phi: Formula, psi: Formula) -> int:
+        """``(A var. phi -> psi) -> (A var. phi) -> (A var. psi)``: both (UI)
+        instances, `chain` to psi, `lift`, then curry."""
+        all_impl, all_phi = ForAll(var, impl(phi, psi)), ForAll(var, phi)
+        u1 = self.axiom(SchemeId.UI, impl(all_impl, impl(phi, psi)))
+        u2 = self.axiom(SchemeId.UI, impl(all_phi, phi))
+        body = self.lift(self.chain(impl(conj(all_impl, all_phi), psi), u1, u2), var)
+        return self.chain(impl(all_impl, impl(all_phi, ForAll(var, psi))), body)
 
     def chain(self, goal: Formula, *premises: int) -> int:
         """Tautology step (prem1 -> (... -> goal)) plus the MP cascade."""
@@ -203,32 +219,20 @@ def _bsigma() -> Proof:
 #
 # (UI) with the bound symbol itself as substituent yields the bare
 # "instantiate to the body" step; `_Builder.lift` is the (Gen), (UD), (MP)
-# ladder for moving a quantifier to the consequent, and `_Builder.chain`
-# glues the pieces together.
+# ladder for moving a quantifier to the consequent, `_Builder.under` and
+# `_Builder.distribute` are the two sequences built from it, and
+# `_Builder.chain` glues the pieces together.
 
 
 def _distributivity() -> Proof:
-    phi = Supports(_R, _P)
-    psi = _BR
-    all_impl = ForAll("r", impl(phi, psi))
-    all_phi = ForAll("r", phi)
-    both = conj(all_impl, all_phi)
     b = _Builder(_QUANT)
-    u1 = b.axiom(SchemeId.UI, impl(all_impl, impl(phi, psi)))
-    u2 = b.axiom(SchemeId.UI, impl(all_phi, phi))
-    out = b.lift(b.chain(impl(both, psi), u1, u2), "r")
-    b.chain(impl(all_impl, impl(all_phi, ForAll("r", psi))), out)
+    b.distribute("r", Supports(_R, _P), _BR)
     return b.build("Distributivity")
 
 
 def _distribution_rule() -> Proof:
-    phi = conj(Supports(_R, _P), _BR)
-    psi = Supports(_R, _P)
-    all_phi = ForAll("r", phi)
     b = _Builder(_QUANT)
-    prem = b.axiom(SchemeId.CL, impl(phi, psi))
-    inst = b.axiom(SchemeId.UI, impl(all_phi, phi))
-    b.lift(b.chain(impl(all_phi, psi), prem, inst), "r")
+    b.under("r", conj(Supports(_R, _P), _BR), Supports(_R, _P))
     return b.build("DistributionRule")
 
 
@@ -245,18 +249,10 @@ def _renaming_rule() -> Proof:
 def _equivalence_rule() -> Proof:
     phi = Supports(_R, _P)
     phi2 = Not(Not(phi))
-    all_phi = ForAll("r", phi)
-    all_phi2 = ForAll("r", phi2)
     b = _Builder(_QUANT)
-
-    def direction(lo: Formula, hi: Formula, all_lo: Formula) -> int:
-        taut = b.axiom(SchemeId.CL, impl(lo, hi))
-        inst = b.axiom(SchemeId.UI, impl(all_lo, lo))
-        return b.lift(b.chain(impl(all_lo, hi), taut, inst), "r")
-
-    fwd = direction(phi, phi2, all_phi)
-    bwd = direction(phi2, phi, all_phi2)
-    b.chain(iff(all_phi, all_phi2), fwd, bwd)
+    fwd = b.under("r", phi, phi2)
+    bwd = b.under("r", phi2, phi)
+    b.chain(iff(ForAll("r", phi), ForAll("r", phi2)), fwd, bwd)
     return b.build("EquivalenceRule")
 
 
@@ -267,9 +263,7 @@ def _exists_elim() -> Proof:
     all_impl = ForAll("r", impl(phi, psi))
     contra = impl(Not(psi), Not(phi))
     b = _Builder(_QUANT)
-    flip = b.axiom(SchemeId.CL, impl(impl(phi, psi), contra))
-    inst = b.axiom(SchemeId.UI, impl(all_impl, impl(phi, psi)))
-    lifted = b.lift(b.chain(impl(all_impl, contra), flip, inst), "r")
+    lifted = b.under("r", impl(phi, psi), contra)
     ud = b.axiom(
         SchemeId.UD,
         impl(ForAll("r", contra), impl(Not(psi), ForAll("r", Not(phi)))),
@@ -289,15 +283,8 @@ def _exists_intro() -> Proof:
     step = impl(Not(phi), gap)
     b = _Builder(_QUANT)
 
-    intro = b.axiom(SchemeId.CL, impl(psi, step))
-    inst = b.axiom(SchemeId.UI, impl(all_psi, psi))
-    shifted = b.lift(b.chain(impl(all_psi, step), intro, inst), "r")
-
-    u1 = b.axiom(SchemeId.UI, impl(ForAll("r", step), step))
-    u2 = b.axiom(SchemeId.UI, impl(all_nphi, Not(phi)))
-    paired = conj(ForAll("r", step), all_nphi)
-    dist_body = b.lift(b.chain(impl(paired, gap), u1, u2), "r")
-    distributed = b.chain(impl(ForAll("r", step), impl(all_nphi, all_gap)), dist_body)
+    shifted = b.under("r", psi, step)
+    distributed = b.distribute("r", Not(phi), gap)
     merged = b.chain(impl(all_psi, impl(all_nphi, all_gap)), shifted, distributed)
     squashed = b.chain(impl(conj(all_psi, all_nphi), all_gap), merged)
 
@@ -306,9 +293,7 @@ def _exists_intro() -> Proof:
     halfway = b.chain(impl(conj(psi, all_nphi), all_gap), squashed, raise_psi)
     flipped = b.chain(impl(Not(all_gap), impl(psi, Not(all_nphi))), halfway)
 
-    unpack = b.axiom(SchemeId.CL, impl(gap, Not(impl(psi, phi))))
-    u3 = b.axiom(SchemeId.UI, impl(all_gap, gap))
-    pushed = b.lift(b.chain(impl(all_gap, Not(impl(psi, phi))), unpack, u3), "r")
+    pushed = b.under("r", gap, Not(impl(psi, phi)))
 
     goal = impl(exists("r", impl(psi, phi)), impl(psi, exists("r", phi)))
     b.chain(goal, pushed, flipped)

@@ -262,33 +262,27 @@ class _Parser:
 
     def reason_continuation(self, term: Reason, bound: frozenset[str]) -> Formula:
         """Continue after a parsed reason term: App chain, then support or adequacy."""
-        while True:
-            star = self.accept("*")
-            if star is None:
-                break
-            if not self.cfg.app:
-                raise ParseError("application terms require the App variant", star.span)
-            term = App(term, self.app_factor(bound))
+        term = self.app_chain(term, bound)
         if self.accept(":"):
             # The right operand of ':': an atom, possibly itself a support chain.
             return Supports(term, self.atom(bound))
         return Adequate(term)
 
+    def app_chain(self, term: Reason, bound: frozenset[str]) -> Reason:
+        """``term`` applied, left to right, to each ``* factor`` that follows."""
+        while (star := self.accept("*")) is not None:
+            if not self.cfg.app:
+                raise ParseError("application terms require the App variant", star.span)
+            term = App(term, self.app_factor(bound))
+        return term
+
     def app_factor(self, bound: frozenset[str]) -> Reason:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take()
-            term = self.app_term(bound)
+        if self.accept("(") is not None:
+            term = self.app_chain(self.app_factor(bound), bound)
             self.expect(")", "')'")
             return term
         ident = self.expect("ident", "a reason name")
         return self._resolve_reason(ident, bound)
-
-    def app_term(self, bound: frozenset[str]) -> Reason:
-        term: Reason = self.app_factor(bound)
-        while self.accept("*"):
-            term = App(term, self.app_factor(bound))
-        return term
 
 
 def parse(text: str, cfg: TheoryConfig) -> Formula:

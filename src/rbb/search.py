@@ -197,21 +197,10 @@ class _OutOfTime(Exception):
 
 def _nests(formula: Formula, kind: type) -> bool:
     """True when a ``kind`` node sits strictly inside Supports or Believes."""
-
-    def walk(f: Formula, inside: bool) -> bool:
-        if inside and isinstance(f, kind):
-            return True
-        if isinstance(f, Not):
-            return walk(f.sub, inside)
-        if isinstance(f, Or):
-            return walk(f.left, inside) or walk(f.right, inside)
-        if isinstance(f, (Supports, Believes)):
-            return walk(f.sub, True)
-        if isinstance(f, ForAll):
-            return walk(f.sub, inside)
-        return False
-
-    return walk(formula, False)
+    return any(
+        isinstance(f, (Supports, Believes)) and _mentions(f.sub, (kind,))
+        for f in subformulas(formula)
+    )
 
 
 def _mentions(formula: Formula, kinds: tuple[type, ...]) -> bool:
@@ -273,6 +262,10 @@ def _active_alphabets(
         for goal in goals:
             used_letters |= formula_letters(goal)
         letters = tuple(p for p in cfg.letters if p in used_letters)
+    # (pr) ties a shared name's letter to its reason: vary both sides or neither.
+    shared = set(cfg.reasons) & set(cfg.letters) & {*reasons, *letters}
+    reasons += tuple(x for x in cfg.reasons if x in shared - set(reasons))
+    letters += tuple(x for x in cfg.letters if x in shared - set(letters))
     return reasons, letters
 
 
@@ -559,7 +552,6 @@ def iter_candidates(
     # With no Supports nested in a goal, no relation-stage check reads a
     # row other than the point's.
     keyed = not any(_nests(g, Supports) for g in goal_list)
-    restricted = keyed and not cfg.sigma
     point_ready = not any(_nests(g, Believes) for g in goal_list)
     schedule = _Schedule(False)
     if prune:
@@ -600,8 +592,7 @@ def iter_candidates(
                     if not all(stage0.extension(g) & 1 for g in schedule.valuation):
                         continue
                 walk = _relation_walk(
-                    cfg, n, letters, active_reasons, schedule, keyed, restricted,
-                    up, tick, verdicts,
+                    cfg, n, letters, active_reasons, schedule, keyed, up, tick, verdicts
                 )
                 for ctx in walk:
                     yield from _family_stage(
@@ -616,7 +607,6 @@ def _relation_walk(
     active: tuple[str, ...],
     schedule: _Schedule,
     keyed: bool,
-    restricted: bool,
     up: list[int],
     tick: Callable[[str], None],
     verdicts: dict[tuple[int, ...], bool],
@@ -708,7 +698,7 @@ def _relation_walk(
         any(
             holds({name: shape}, goals)
             for row in range(1 << n)
-            for shape in _shapes(n, restricted, row)
+            for shape in _shapes(n, False, row)
         )
         for name, goals in zip(active, own)
     ):
@@ -726,7 +716,7 @@ def _relation_walk(
                 if not any(ok(prefix, i) for i in range(lo, hi)):
                     tick(RELATION)
                     continue
-            for shape in _shapes(n, restricted, row):
+            for shape in _shapes(n, keyed and not cfg.sigma, row):
                 tick(RELATION)
                 key = (row, row & 1 if keyed and by_row else shape[1])
                 if keyed:
@@ -769,45 +759,35 @@ def _family_stage(
     point_menu = _family_menu(bounds, pool, ctx, up, 0, prune, *_point_sets(schedule, ctx))
     if not point_menu:
         return
-    menus = [point_menu]
     # Without nested belief only the point's family matters, so every other
     # world gets the minimal family, the closure of the forced seed alone.
     rest_pool = [] if point_ready else pool
-    for i in range(1, n):
-        menu = _family_menu(bounds, rest_pool, ctx, up, i, prune)
-        if not menu:
-            return
-        menus.append(menu)
+    menus = [_family_menu(bounds, rest_pool, ctx, up, i, prune) for i in range(1, n)]
     staged = schedule.staged
-    for combo in itertools.product(*menus):
+    for combo in itertools.product(point_menu, *menus):
         tick(FAMILY)
         if staged:
             at = _Ctx(cfg, n, ctx.letters, ctx.rows, diag, combo)
             if not all(at.extension(g) & 1 for g in staged):
                 continue
-        yield _assemble(cfg, ctx.letters, ctx.rows, combo), "w0"
+        yield _assemble(ctx.letters, ctx.rows, combo), "w0"
 
 
 def _assemble(
-    cfg: TheoryConfig,
-    letters: dict[str, int],
-    rows: dict[str, list[int]],
-    families: tuple[int, ...],
+    letters: dict[str, int], rows: dict[str, list[int]], families: tuple[int, ...]
 ) -> Model:
     n = len(families)
     world_names = tuple(f"w{i}" for i in range(n))
-    access: dict[str, set[tuple[str, str]]] = {name: set() for name in cfg.reasons}
-    for name, row_list in rows.items():
-        for i in range(n):
-            for j in range(n):
-                if row_list[i] >> j & 1:
-                    access[name].add((world_names[i], world_names[j]))
+
+    def named(mask: int) -> list[str]:
+        return [world_names[j] for j in range(n) if mask >> j & 1]
+
+    access = {
+        name: {(world_names[i], w) for i, row in enumerate(row_list) for w in named(row)}
+        for name, row_list in rows.items()
+    }
     neighborhoods = {
-        world_names[i]: [
-            [world_names[j] for j in range(n) if mask >> j & 1]
-            for mask in range(1 << n)
-            if families[i] >> mask & 1
-        ]
+        world_names[i]: [named(x) for x in range(1 << n) if families[i] >> x & 1]
         for i in range(n)
     }
     valuation = {

@@ -506,6 +506,17 @@ def test_library_table(capsys):
     assert doc["accepted"] == doc["total"] == 14
 
 
+def test_library_with_a_corrupt_fixture_exits_1(capsys, monkeypatch):
+    cfg = rbb.TheoryConfig.from_name("RBB", ("r",), ("p",))
+    p = rbb.Letter("p")
+    broken = rbb.Proof(cfg, "Broken", p, (rbb.ProofStep(1, p, rbb.Axiom(rbb.SchemeId.CL)),))
+    monkeypatch.setattr(rbb.library, "_fixtures", lambda: (broken,))
+    monkeypatch.setattr(rbb.library, "_CACHE", None)
+    code, out, err = run(capsys, "library")
+    assert code == EXIT_REJECTED and out == ""
+    assert err == "library fixture failed: Broken: step 1: not an instance of (CL)\n"
+
+
 def _proof_with(path, value):
     """A copy of IDENTITY_PROOF with ``value`` at the key path ``path``."""
     doc = json.loads(json.dumps(IDENTITY_PROOF))
@@ -520,7 +531,9 @@ def _proof_with(path, value):
 # Proof documents with a field of the wrong JSON type, each with the field
 # that the error message must name.  A string for an array would be read as
 # its characters, and the string "false" is truthy.  A justification that
-# takes two values must be named with the shape it expects.
+# takes two values must be named with the shape it expects.  The last three
+# are justifications of the right type that name no scheme, no kind and no
+# reason term.
 BAD_PROOF_FIELDS = {
     "reasons-string": (_proof_with(("theory", "reasons"), "rs"), "reasons"),
     "letters-string": (_proof_with(("theory", "letters"), "pq"), "letters"),
@@ -539,6 +552,13 @@ BAD_PROOF_FIELDS = {
     ),
     "rn-string": (
         _proof_with(("steps", 0, "by"), {"rn": "ab"}), "rn needs a JSON array [index, reason]"
+    ),
+    "unknown-scheme": (_proof_with(("steps", 0, "by"), {"axiom": "XX"}), "unknown scheme 'XX'"),
+    "unknown-justification": (
+        _proof_with(("steps", 0, "by"), {"lemma": 1}), "unknown justification kind 'lemma'"
+    ),
+    "rn-formula": (
+        _proof_with(("steps", 0, "by"), {"rn": [1, "r:p"]}), "rn needs a reason term, got 'r:p'"
     ),
 }
 

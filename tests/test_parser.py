@@ -9,6 +9,7 @@ from rbb.parser import ParseError, parse, print_formula, print_reason
 from rbb.syntax import (
     SIGMA,
     Adequate,
+    App,
     Believes,
     Eq,
     ForAll,
@@ -107,6 +108,35 @@ def test_parse_error_carries_a_span():
 def test_print_reason_on_atoms():
     assert print_reason(R) == "r"
     assert print_reason(SIGMA) == "sigma"
+
+
+APP_CFG = TheoryConfig.from_name("RBB+App", ("r", "s", "u"), ("p", "q"))
+U = atom_term("u")
+
+
+# Application is left-associative, so only a compound right factor keeps
+# its parentheses in print.
+@pytest.mark.parametrize(
+    "text,expected,printed",
+    [
+        ("s * r:p", Supports(App(S, R), P), "s * r:p"),
+        ("(s * r):p", Supports(App(S, R), P), "s * r:p"),
+        ("s * (r * u):p", Supports(App(S, App(R, U)), P), "s * (r * u):p"),
+        ("(s * r) * u:p", Supports(App(App(S, R), U), P), "s * r * u:p"),
+        ("~(s * r):(p -> q)", Not(Supports(App(S, R), impl(P, Q))), "~s * r:(p -> q)"),
+    ],
+)
+def test_application_terms_round_trip(text, expected, printed):
+    assert parse(text, APP_CFG) == expected
+    assert print_formula(expected) == printed
+    assert parse(printed, APP_CFG) == expected
+
+
+def test_application_terms_need_the_app_variant():
+    base = TheoryConfig.from_name("RBB", ("r", "s", "u"), ("p", "q"))
+    for text in ("s * r:p", "s * (r * u):p"):
+        with pytest.raises(ParseError, match="require the App variant"):
+            parse(text, base)
 
 
 _FUZZ_CFG = class_config("QRBBs")

@@ -14,8 +14,10 @@ from rbb.proof import (
     Proof,
     ProofStep,
     RN,
+    Theorem,
     TheoryMismatch,
     UnknownCitation,
+    Verdict,
     check_proof,
     proof_from_doc,
     proof_to_doc,
@@ -23,6 +25,7 @@ from rbb.proof import (
 from rbb.semantics import extension
 from rbb.syntax import (
     Adequate,
+    App,
     Believes,
     ForAll,
     Letter,
@@ -179,6 +182,53 @@ def test_citation_respects_theory_extension():
         (ProofStep(1, lib["RC"].proof.goal, Cite("RC")),),
     )
     assert check_proof(lifted, lib).accepted
+
+
+def test_doc_round_trip_with_e_and_a_citation():
+    rc = derived_library()["RC"].proof.goal
+    lifted = iff(Believes(P), Believes(Not(Not(P))))
+    proof = Proof(
+        BASE,
+        "e-and-cite",
+        rc,
+        steps((iff(P, Not(Not(P))), Axiom(SchemeId.CL)), (lifted, E(1)), (rc, Cite("RC"))),
+    )
+    doc = proof_to_doc(proof)
+    assert [s["by"] for s in doc["steps"][1:]] == [{"e": 1}, {"cite": "RC"}]
+    assert proof_from_doc(doc) == proof
+    assert check_proof(proof, derived_library()) == ACCEPTED
+
+
+APP = TheoryConfig.from_name("RBB+App", ("r", "s"), ("p", "q"))
+TAUT, EQ = impl(P, P), iff(P, Not(Not(P)))
+SR = App(atom_term("s"), R)
+# A library whose one entry failed its check: citing it must be refused.
+UNACCEPTED = {
+    "Bad": Theorem(
+        Proof(BASE, "Bad", TAUT, steps((TAUT, Axiom(SchemeId.CL)))),
+        Verdict.rejected(1, "broken"),
+    )
+}
+
+
+@pytest.mark.parametrize(
+    "cfg,third,diagnostic",
+    [
+        (BASE, (iff(Believes(P), Believes(P)), E(1)), "(E) needs step 1 to be a biconditional"),
+        (BASE, (iff(Believes(P), Believes(P)), E(2)),
+         "(E) conclusion must be the biconditional under B"),
+        (BASE, (Supports(R, TAUT), Cite("Bad")), "cited theorem 'Bad' proves a different formula"),
+        (BASE, (TAUT, Cite("Bad")), "cited theorem 'Bad' is not accepted"),
+        (APP, (Supports(SR, TAUT), RN(1, SR)),
+         "(RN) in the App variant is restricted to basic reasons"),
+        (BASE, (Supports(SR, TAUT), RN(1, SR)),
+         "(RN) uses an application term outside the App variant"),
+    ],
+)
+def test_rejections_name_the_rule(cfg, third, diagnostic):
+    premises = steps((TAUT, Axiom(SchemeId.CL)), (EQ, Axiom(SchemeId.CL)), third)
+    proof = Proof(cfg, "bad", third[0], premises)
+    assert check_proof(proof, UNACCEPTED) == Verdict.rejected(3, diagnostic)
 
 
 # -- the bundled library ----------------------------------------------------

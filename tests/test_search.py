@@ -32,7 +32,7 @@ from rbb.search import (
     iter_witnesses,
     outcome_to_doc,
 )
-from rbb.semantics import _Ctx, satisfies, superset_family, validate_model
+from rbb.semantics import _Ctx, make_model, satisfies, superset_family, validate_model
 from rbb.syntax import (
     Adequate,
     Believes,
@@ -193,6 +193,48 @@ def test_quantifier_outcomes():
     assert isinstance(out, Witness)
     got = find_model([parse("(E u. u:p) & ~B p", QRBB)], QRBB, W2)
     assert isinstance(got, Witness)
+
+
+# The name p is both a reason and a letter, which (pr) ties together: the
+# letter holds at a world exactly when the world sees itself under p.  Text
+# resolves p to the reason, so the letter is built directly.  The goals
+# without nested Supports take the keyed walk, which reads the shared letter
+# at the point; the last two have no witness.
+OVERLAP = TheoryConfig.from_name("RBB", ("r", "p"), ("p",), allow_overlap=True)
+OVERLAP_GOALS = {
+    "letter": [Letter("p")],
+    "adequacy": [parse("p", OVERLAP)],
+    "belief": [parse("B p", OVERLAP)],
+    "keyed": [parse("r:p & r", OVERLAP)],
+    "keyed-letter": [Supports(atom_term("r"), Letter("p")), parse("r", OVERLAP)],
+    "nested": [parse("r:(r:p) & ~B p", OVERLAP), Letter("p")],
+    "split": [Letter("p"), parse("~p", OVERLAP)],
+    "keyed-split": [parse("r:p & r", OVERLAP), Not(Letter("p"))],
+}
+
+
+def _one_world_models():
+    loops, family = [(), (("w0", "w0"),)], [[], ["w0"]]
+    for r, p, true, size in itertools.product(loops, loops, [(), ("p",)], range(3)):
+        for sets in itertools.combinations(family, size):
+            yield make_model(("w0",), {"r": r, "p": p}, {"w0": sets}, {"w0": true})
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAP_GOALS))
+def test_a_shared_name_is_varied_as_letter_and_reason(name):
+    goals = OVERLAP_GOALS[name]
+    expected = any(
+        validate_model(model, OVERLAP).ok
+        and all(satisfies(model, "w0", g, OVERLAP) for g in goals)
+        for model in _one_world_models()
+    )
+    assert expected == (name not in ("split", "keyed-split"))
+    outcome = find_model(goals, OVERLAP, W2)
+    assert isinstance(outcome, Witness) == expected
+    if expected:
+        assert outcome.model.worlds == ("w0",)
+        assert validate_model(outcome.model, OVERLAP).ok
+        assert all(satisfies(outcome.model, "w0", g, OVERLAP) for g in goals)
 
 
 @pytest.mark.parametrize("var", ["t", "r", "s"])
