@@ -90,7 +90,10 @@ belief literals need.  Each fault the frame checker finds on that closed
 family, (pr), (d), (ma), (mr) or (mt), stays in every closed superset, and
 so does a set the belief literals avoid.  So a base fault drops the
 assignment before any menu is built: at the point in the walk, and at the
-other worlds in the family stage.
+other worlds in the family stage.  By (mr), a key of sigma fails the base
+check when its point row leaves `_ceiling`, r(w0) for each r fixed before
+it with a point literal ``B r``; so the walk skips such a row as one step,
+and forward checks ask only keys inside it (Haralick & Elliott 1980).
 
 The budget is polled at the first step and every 128th after it.  A step
 is a relation step (a check or a completion asked, whether a memo
@@ -101,8 +104,12 @@ A candidate that survives the quick checks is rebuilt as a public
 :class:`~rbb.semantics.Model` and re-examined with `validate_model` and
 `satisfies`, so the enumerator's bitmask shortcuts are never the final
 authority.  Exhaustion means the bounded space holds no witness, nothing
-more; in particular families outside the seed-closure pool are not tried,
-and that caveat is part of the Exhausted contract.
+more, and the Exhausted contract has two caveats.  Families outside the
+seed-closure pool are not tried, so a belief operand that nests Believes
+(``B B p``) can miss a witness.  A reason outside the active alphabet sees
+every world, and a shared name's letter holds everywhere, by (pr).  Then
+r-degree is W, (rb), (ma) and (mr) hold for r, and a witness stays one if
+its goals do not read r; not so for sigma, which (mr) ties to the others.
 """
 
 from __future__ import annotations
@@ -176,7 +183,7 @@ class Witness:
 class Exhausted:
     """The bounded space was walked to the end without finding a witness.
 
-    Says nothing about larger models, larger families, or the theory itself.
+    Says nothing about larger models or the theory; see the module docstring.
     """
 
     bounds: SearchBounds
@@ -246,7 +253,7 @@ def _active_alphabets(
         reasons = tuple(bounds.reasons)
     elif any(_mentions(g, (ForAll,)) for g in goals):
         # A quantifier ranges over every declared reason, so narrowing to
-        # the free ones would silently fix the bound ones' relations empty.
+        # the free ones would silently fix the bound ones' relations full.
         reasons = cfg.reasons
     else:
         used: set[str] = set()
@@ -484,6 +491,18 @@ def _base_fault(
     return bool(base & avoid) or fault is not None
 
 
+def _ceiling(schedule: _Schedule, active: tuple[str, ...], rows: list[int], n: int) -> int:
+    """The worlds the next reason's point row may hold after the point rows
+    ``rows``: for sigma, by (mr), inside r(w0) for each point literal B r."""
+    cap = (1 << n) - 1
+    if active[len(rows):len(rows) + 1] == (SIGMA_NAME,):
+        fixed = dict(zip(active, rows))
+        for phi, believed in schedule.point:
+            if believed and isinstance(phi, Adequate):
+                cap &= fixed.get(term_name(phi.reason), cap)
+    return cap
+
+
 def _family_menu(
     bounds: SearchBounds,
     pool: list[int],
@@ -559,6 +578,8 @@ def iter_candidates(
         if schedule is None:
             return
 
+    # By (pr), a shared name whose reason sees every world is a letter true everywhere.
+    pinned = [x for x in cfg.letters if x in cfg.reasons and x not in active_reasons]
     done = dict.fromkeys((RELATION, FAMILY), 0)
     polls = itertools.count()
     n = 1
@@ -582,7 +603,7 @@ def iter_candidates(
         letter_space = range(1 << len(active_letters))
         for point_val in letter_space:
             for rest in itertools.combinations_with_replacement(letter_space, n - 1):
-                letters = {name: 0 for name in active_letters}
+                letters = dict.fromkeys(active_letters, 0) | dict.fromkeys(pinned, (1 << n) - 1)
                 for i, mask in enumerate((point_val, *rest)):
                     for j, name in enumerate(active_letters):
                         if mask >> j & 1:
@@ -620,11 +641,12 @@ def _relation_walk(
     kept per prefix, with its world vectors, in a bytearray: 0 unknown,
     1 fails, 2 passes.  Whether a prefix has a completion is kept per orbit.
     """
-    m, unfixed = len(active), (0,) * n
+    m, unfixed, full = len(active), (0,) * n, (1 << n) - 1
 
     def context(named: dict[str, _Shape]) -> _Ctx:
-        rows = {name: [0] * n for name in cfg.reasons}
-        diag = dict.fromkeys(cfg.reasons, 0)
+        # A reason outside the active alphabet sees every world (module docstring).
+        rows = {name: [full] * n for name in cfg.reasons}
+        diag = dict.fromkeys(cfg.reasons, full)
         for name, (row_list, adequate) in named.items():
             rows[name], diag[name] = row_list, adequate
         return _Ctx(cfg, n, letters, rows, diag, unfixed)
@@ -689,7 +711,9 @@ def _relation_walk(
                     if orbit in completions:
                         tick(RELATION)
                     else:
-                        completions[orbit] = any(ok(chosen, j) for j in range(len(menus[k + 1])))
+                        cap = _ceiling(schedule, active, [c[0] for c in chosen], n)
+                        inside = (j for j, (row, _) in enumerate(menus[k + 1]) if not row & ~cap)
+                        completions[orbit] = any(ok(chosen, j) for j in inside)
                     passed = completions[orbit]
                 state[i] = 1 + passed
             return state[i] == 2
@@ -709,13 +733,14 @@ def _relation_walk(
         if k == m:
             yield context(dict(zip(active, shapes)))
             return
+        cap = _ceiling(schedule, active, [shape[0][0] for shape in shapes], n)
         for row in range(1 << n):
             if keyed:
                 lo = bisect.bisect_left(menus[k], (row,))
                 hi = bisect.bisect_left(menus[k], (row + 1,))
-                if not any(ok(prefix, i) for i in range(lo, hi)):
-                    tick(RELATION)
-                    continue
+            if row & ~cap or keyed and not any(ok(prefix, i) for i in range(lo, hi)):
+                tick(RELATION)
+                continue
             for shape in _shapes(n, keyed and not cfg.sigma, row):
                 tick(RELATION)
                 key = (row, row & 1 if keyed and by_row else shape[1])

@@ -13,6 +13,7 @@ from rbb.search import (
     _append_key,
     _base_fault,
     _believed_operands,
+    _ceiling,
     _class_key,
     _conjuncts,
     _letter_vectors,
@@ -300,22 +301,32 @@ def test_budget_signal_carries_progress():
 
 @pytest.mark.parametrize(
     "theory,text,worlds",
-    [("RBBs", "B r & r:p -> sigma:p", 4), ("QRBBs", "(A t. t:p) -> sigma:p", 3)],
+    [
+        ("RBBs", "B r & r:p -> sigma:p", 4),
+        ("QRBBs", "(A t. t:p) -> sigma:p", 3),
+        ("RBBs", "B s & B r & s:(p -> q) & r:p -> B q", 3),
+    ],
 )
 def test_sigma_axiom_probes_are_decided(theory, text, worlds):
-    # (mr) needs sigma(w0) inside r(w0), which r:p and ~sigma:p forbid, so
-    # the relation walk's base check rules out every tuple of (point row,
-    # diagonal) keys, deciding each class of tuples once; the instance
-    # sigma:p of the quantifier empties sigma's menu.
+    # (mr) needs sigma(w0) inside r(w0), which r:p and ~sigma:p forbid: the
+    # B r literal keeps every sigma point row outside r(w0) out of the walk,
+    # and the rows left have no key that passes ~sigma:p.  The instance
+    # sigma:p of the quantifier empties sigma's menu.  In RCL2, (mr) puts
+    # sigma(w0) inside r(w0) and s(w0), so (mb) and (rb) put ext(q) in the
+    # point's base family, against ~B q: the base check rules out each
+    # class of key tuples left after the filter.
     cfg = TheoryConfig.from_name(theory, ("r", "s"), ("p", "q"))
     bounds = SearchBounds(max_worlds=worlds, budget_secs=30.0)
     assert isinstance(check_nonvalidity(parse(text, cfg), cfg, bounds), Exhausted)
 
 
 def test_base_checks_are_decided_once_per_class(monkeypatch):
-    # The (mr) probe reads no letter in its keyed checks, so each class of
-    # key tuples is decided once across all valuations: 2,511 base checks
-    # at four worlds, where deciding each tuple of each valuation took 19,933.
+    # The B r literal bounds sigma's point row by r's through (mr), so the
+    # walk drops each sigma key outside r(w0) before any check, and ~sigma:p
+    # leaves the rows inside it with no key: no base check is left at four
+    # worlds.  Before that filter each class of key tuples was decided once
+    # across all valuations, 2,511 base checks, and before the verdict memo
+    # each tuple of each valuation, 19,933.
     calls = []
     real = rbb.search._base_fault
     monkeypatch.setattr(
@@ -325,13 +336,14 @@ def test_base_checks_are_decided_once_per_class(monkeypatch):
     bounds = SearchBounds(max_worlds=4, budget_secs=None)
     goal = parse("B r & r:p -> sigma:p", cfg)
     assert isinstance(check_nonvalidity(goal, cfg, bounds), Exhausted)
-    assert len(calls) == 2511
+    assert len(calls) == 0
 
 
 def test_forward_checks_are_answered_once_per_orbit(monkeypatch):
     # Each forward check extends a prefix's world vectors once, so counting
-    # the extensions counts the checks: 11,960 for the (mr) probe at four
-    # worlds, where asking each prefix for its completion made 20,228.
+    # the extensions counts the checks: 295 for the (mr) probe at four
+    # worlds, since sigma keys outside r(w0) are never asked.  Asking them
+    # made 11,960, and asking each prefix for its completion 20,228.
     calls = []
     real = rbb.search._append_key
     monkeypatch.setattr(
@@ -341,7 +353,7 @@ def test_forward_checks_are_answered_once_per_orbit(monkeypatch):
     bounds = SearchBounds(max_worlds=4, budget_secs=None)
     goal = parse("B r & r:p -> sigma:p", cfg)
     assert isinstance(check_nonvalidity(goal, cfg, bounds), Exhausted)
-    assert len(calls) == 11960
+    assert len(calls) == 295
 
 
 def test_five_worlds_stay_within_the_budget():
@@ -407,11 +419,12 @@ def test_unpruned_candidate_counts(text, cfg, expected):
 # operand, and a valid sigma axiom whose negation has no model.  The next
 # three reach the stages the others miss: a two-reason conjunct at the
 # relation assignment, an equation at the valuation, and a quantifier whose
-# instances need no model part at all.  The last five meet the relation
+# instances need no model part at all.  The last six meet the relation
 # walk's base check: (mr) with witnesses (the valid (mr) set is the
 # eighth), the (ma) conflict, sigma's adequacy with ~sigma:p, a top-level
-# quantifier whose instances are belief literals, and a belief operand
-# that reads the non-point rows of a reason the walk fixes before sigma.
+# quantifier whose instances are belief literals, a belief operand that
+# reads the non-point rows of a reason the walk fixes before sigma, and two
+# reasons under sigma, where B r keeps sigma's point rows inside r(w0).
 PRUNING_CASES = [
     ("RBB", ("r",), ("p", "q"), ("B p", "~B q")),
     ("RBB", ("r",), ("p", "q"), ("B (p | q)", "~B p", "~p")),
@@ -432,6 +445,7 @@ PRUNING_CASES = [
     ("RBBs", ("r",), ("p",), ("sigma", "B r", "~sigma:p")),
     ("QRBB", ("r", "s"), ("p",), ("A t. ~B t", "B p", "E t. t")),
     ("RBBs", ("r",), ("p",), ("B (r:p)", "~B (sigma:p)")),
+    ("RBBs", ("r", "s"), ("p",), ("B r", "r:p", "s:p", "~B s")),
 ]
 
 
@@ -588,6 +602,52 @@ def test_literal_propagation_is_exact():
             )
             assert want == got, goals
     assert folded >= 30 and contradicted >= 30
+
+
+# Pieces that put r-degree or s-degree into the point's base family, or
+# keep it out, next to checks on sigma and on the other reasons.
+CEILING_PIECES = (
+    "B r", "B s", "~B r", "r:p", "s:q", "~sigma:p", "sigma:q", "sigma", "r | s:p",
+    "B (q | s)", "~B (p & r)",
+)
+
+
+def test_sigma_ceiling_is_exact():
+    # The walk drops each sigma key whose point row leaves `_ceiling` of the
+    # point rows fixed before it.  Each dropped key must be one the base
+    # check at the last position rejects, whatever the valuation and the
+    # other keys, so the filter changes no candidate.
+    rng = random.Random(13)
+    cfgs = (
+        TheoryConfig.from_name("RBBs", ("r", "s"), ("p", "q")),
+        TheoryConfig.from_name("RBBs+", ("r", "s"), ("p", "q")),
+    )
+    sets = capped = dropped = 0
+    while sets < 60:
+        cfg = cfgs[sets % 2]
+        texts = rng.sample(CEILING_PIECES, rng.randint(2, 4))
+        goals = {
+            c
+            for t in texts
+            for c in _conjuncts(parse(t if rng.random() < 0.8 else f"~({t})", cfg))
+        }
+        schedule = _schedule(tuple(sorted(goals, key=print_formula)), cfg.reasons, cfg)
+        if schedule is None:
+            continue
+        sets += 1
+        n = 3
+        for _ in range(4):
+            letters = {p: rng.randrange(1 << n) for p in cfg.letters}
+            rows = [rng.randrange(1 << n) for _ in cfg.basic_reasons]
+            prefix = tuple((row, rng.randrange(1 << n) & ~1 | row & 1) for row in rows)
+            cap = _ceiling(schedule, cfg.reasons, rows, n)
+            capped += cap != (1 << n) - 1
+            for row, d in itertools.product(range(1 << n), range(0, 1 << n, 2)):
+                if row & ~cap:
+                    dropped += 1
+                    key = (row, d | row & 1)
+                    assert not _keyed_check(cfg, n, letters, schedule, (*prefix, key)), texts
+    assert capped > 50 and dropped > 1000, (capped, dropped)
 
 
 def test_folding_expands_an_exposed_quantifier():
