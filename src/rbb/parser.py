@@ -29,7 +29,9 @@ declared alphabets whose letters avoid the overlap with the reasons.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     RESERVED_WORDS,
@@ -77,11 +79,14 @@ class ParseError(Exception):
         self.span = span
 
 
-_PUNCT = ("<->", "->", "!=", "~", "&", "|", "(", ")", ":", "=", "*", ".")
+#: One token after optional whitespace: punctuation (longest first), a word,
+#: or any other character, which is an error.  ``\w`` is ``str.isalnum`` or
+#: ``_``, as an identifier's later characters are; its first character must
+#: also pass ``str.isalpha`` or be ``_``, which ``_lex`` checks.
+_TOKEN = re.compile(r"\s*(?:(<->|->|!=|[~&|():=*.])|(\w+)|(\S))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # punctuation string, "ident", "kw", or "eof"
     text: str
     start: int
@@ -94,29 +99,19 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                out.append(_Token(punct, punct, i, i + len(punct)))
-                i += len(punct)
-                break
+    for match in _TOKEN.finditer(text):
+        punct, word, _ = match.groups()
+        start, end = match.span(match.lastindex)
+        if punct is not None:
+            out.append(_Token(punct, punct, start, end))
+        elif word is not None and (word[0].isalpha() or word[0] == "_"):
+            kind = "kw" if word in RESERVED_WORDS else "ident"
+            out.append(_Token(kind, word, start, end))
         else:
-            if ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = "kw" if word in RESERVED_WORDS else "ident"
-                out.append(_Token(kind, word, i, j))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1))
-    out.append(_Token("eof", "", n, n))
+            raise ParseError(
+                f"unexpected character {text[start]!r}", SourceSpan(start, start + 1)
+            )
+    out.append(_Token("eof", "", len(text), len(text)))
     return out
 
 

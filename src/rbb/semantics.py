@@ -48,7 +48,7 @@ from .syntax import (
     Letter,
     Not,
     Or,
-    Reason,
+    Sigma,
     Supports,
     instances,
     term_name,
@@ -217,18 +217,6 @@ def reflexive_worlds(model: Model, reason: str) -> frozenset[str]:
 _QUANTIFIED_ONLY = "quantifiers and equations live in the quantified theories"
 
 
-def _add_free(terms: Sequence[Reason], bound: frozenset[str], out: set[str]) -> None:
-    """Add the names of ``terms`` not in ``bound`` to ``out``; refuse App terms."""
-    for term in terms:
-        if isinstance(term, App):
-            raise AppSemanticsUndefined(
-                "compound reason terms have no satisfaction clause"
-            )
-        name = term_name(term)
-        if name not in bound:
-            out.add(name)
-
-
 def ensure_in_language(formula: Formula, cfg: TheoryConfig) -> None:
     """Reject formulas outside the declared alphabets before evaluation.
 
@@ -258,15 +246,23 @@ def ensure_in_language(formula: Formula, cfg: TheoryConfig) -> None:
             stack.append((f.left, bound))
         elif kind is Letter:
             letters.add(f.name)
-        elif kind is Supports:
-            _add_free((f.reason,), bound, reasons)
-            stack.append((f.sub, bound))
-        elif kind is Adequate:
-            _add_free((f.reason,), bound, reasons)
-        elif kind is Eq:
-            if not cfg.quantified:
-                raise UnknownSymbol(_QUANTIFIED_ONLY)
-            _add_free((f.left, f.right), bound, reasons)
+        elif kind is Supports or kind is Adequate or kind is Eq:
+            if kind is Eq:
+                if not cfg.quantified:
+                    raise UnknownSymbol(_QUANTIFIED_ONLY)
+                terms = (f.left, f.right)
+            else:
+                terms = (f.reason,)
+                if kind is Supports:
+                    stack.append((f.sub, bound))
+            for term in terms:
+                if type(term) is App:
+                    raise AppSemanticsUndefined(
+                        "compound reason terms have no satisfaction clause"
+                    )
+                name = SIGMA_NAME if type(term) is Sigma else term.name
+                if name not in bound:
+                    reasons.add(name)
         elif kind is ForAll:
             if not cfg.quantified:
                 raise UnknownSymbol(_QUANTIFIED_ONLY)
@@ -416,13 +412,14 @@ class _Ctx:
         cached = self.memo.get(formula)
         if cached is not None:
             return cached
-        if isinstance(formula, Letter):
+        kind = type(formula)
+        if kind is Letter:
             out = self.letters.get(formula.name, 0)
-        elif isinstance(formula, Not):
+        elif kind is Not:
             out = self.full ^ self.extension(formula.sub)
-        elif isinstance(formula, Or):
+        elif kind is Or:
             out = self.extension(formula.left) | self.extension(formula.right)
-        elif isinstance(formula, Supports):
+        elif kind is Supports:
             name = term_name(formula.reason)
             try:
                 row = self.rows[name]
@@ -433,19 +430,19 @@ class _Ctx:
             for i in range(self.n):
                 if row[i] & ~inside == 0:
                     out |= 1 << i
-        elif isinstance(formula, Adequate):
+        elif kind is Adequate:
             name = term_name(formula.reason)
             try:
                 out = self.diag[name]
             except KeyError:
                 raise UnknownReason(f"model has no relation entry for {name!r}") from None
-        elif isinstance(formula, Believes):
+        elif kind is Believes:
             out = self.believers(self.extension(formula.sub))
-        elif isinstance(formula, Eq):
+        elif kind is Eq:
             same = term_name(formula.left) == term_name(formula.right)
             out = self.full if same else 0
         else:
-            assert isinstance(formula, ForAll)
+            assert kind is ForAll
             out = self.full
             for inst in instances(formula, self.cfg.reasons):
                 out &= self.extension(inst)

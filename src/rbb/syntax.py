@@ -17,7 +17,11 @@ Every node is a frozen, slotted dataclass whose hash is computed once, when
 the node is built, and kept in a ``_hash`` slot.  The cached value is the
 plain dataclass hash of the field tuple, so sets and dicts of formulas
 iterate in the same order as without the cache; what it saves is the
-re-hash of the whole subtree on every memo lookup.
+re-hash of the whole subtree on every memo lookup.  Equality walks an
+explicit stack, so formulas of any depth compare; it skips identical
+subtrees and stops at the first differing cached hash.  :func:`substitute`
+finds capture in its one rewriting walk and returns every untouched subtree
+as it is, so a quantifier's instances share its body's nodes.
 """
 
 from __future__ import annotations
@@ -40,6 +44,32 @@ def _cached_hash(node) -> int:
     return node._hash
 
 
+#: Every class made by ``_node``; nodes are never subclassed.
+_NODE_TYPES: set[type] = set()
+
+
+def _equal(self, other) -> bool:
+    """Structural equality, iteratively (see the module docstring)."""
+    if self is other:
+        return True
+    if type(other) not in _NODE_TYPES:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or a._hash != b._hash:
+            return False
+        for name in a.__match_args__:
+            x, y = getattr(a, name), getattr(b, name)
+            if type(x) in _NODE_TYPES:
+                stack.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
 def _reduce(node):
     # Pickle and copy through the constructor (``__match_args__`` names its
     # fields): a cached hash of a str field holds only in the process that
@@ -52,6 +82,7 @@ def _node(cls):
 
     ``_hash`` is set after the class's own ``__post_init__`` checks, from the
     ``__hash__`` that ``dataclass`` generates; ``__hash__`` then reads it.
+    ``__eq__`` is the iterative :func:`_equal`.
     """
     check = cls.__dict__.get("__post_init__")
 
@@ -66,7 +97,9 @@ def _node(cls):
     cls = dataclass(frozen=True, slots=True)(cls)
     field_hash = cls.__hash__  # the generated hash of the field tuple
     cls.__hash__ = _cached_hash
+    cls.__eq__ = _equal
     cls.__reduce__ = _reduce
+    _NODE_TYPES.add(cls)
     return cls
 
 
@@ -347,42 +380,56 @@ def is_free_for(s: str, r: str, formula: Formula) -> bool:
     return is_free_for(s, r, formula.sub)
 
 
-def _subst_term(term: Reason, r: str, repl: AtomicReason) -> Reason:
-    if isinstance(term, App):
-        return App(_subst_term(term.left, r, repl), _subst_term(term.right, r, repl))
-    return repl if term_name(term) == r else term
-
-
 def substitute(formula: Formula, r: str, s: str) -> Formula:
     """The formula with every free reason occurrence of ``r`` replaced by ``s``.
 
-    Raises :class:`CaptureError` unless ``s`` is free for ``r``.  Letter
-    occurrences are untouched: substitution rewrites reason positions only.
+    One walk both rewrites and checks: it raises :class:`CaptureError` at a
+    quantifier on ``s`` whose scope has a free ``r`` (exactly when
+    :func:`is_free_for` is false).  Every subtree without a free ``r`` comes
+    back as the same object, so the result shares them with ``formula``,
+    and ``substitute(f, r, r)`` is ``f``.  Letter occurrences are untouched:
+    substitution rewrites reason positions only.
     """
-    if not is_free_for(s, r, formula):
-        raise CaptureError(f"{s!r} is not free for {r!r}")
+    if r == s:
+        return formula
     repl = atom_term(s)
 
+    def term(t: Reason) -> Reason:
+        if type(t) is App:
+            left, right = term(t.left), term(t.right)
+            return t if left is t.left and right is t.right else App(left, right)
+        return repl if term_name(t) == r else t
+
     def walk(f: Formula) -> Formula:
-        if isinstance(f, Letter):
+        kind = type(f)
+        if kind is Letter:
             return f
-        if isinstance(f, Not):
-            return Not(walk(f.sub))
-        if isinstance(f, Or):
-            return Or(walk(f.left), walk(f.right))
-        if isinstance(f, Supports):
-            return Supports(_subst_term(f.reason, r, repl), walk(f.sub))
-        if isinstance(f, Adequate):
-            return Adequate(_subst_term(f.reason, r, repl))
-        if isinstance(f, Believes):
-            return Believes(walk(f.sub))
-        if isinstance(f, Eq):
-            left = _subst_term(f.left, r, repl)
-            right = _subst_term(f.right, r, repl)
+        if kind is Not or kind is Believes:
+            sub = walk(f.sub)
+            return f if sub is f.sub else kind(sub)
+        if kind is Or:
+            left, right = walk(f.left), walk(f.right)
+            return f if left is f.left and right is f.right else Or(left, right)
+        if kind is Supports:
+            reason, sub = term(f.reason), walk(f.sub)
+            return f if reason is f.reason and sub is f.sub else Supports(reason, sub)
+        if kind is Adequate:
+            reason = term(f.reason)
+            return f if reason is f.reason else Adequate(reason)
+        if kind is Eq:
+            left, right = term(f.left), term(f.right)
+            if left is f.left and right is f.right:
+                return f
             return Eq(left, right)  # type: ignore[arg-type]
         if f.var == r:
             return f
-        return ForAll(f.var, walk(f.sub))
+        sub = walk(f.sub)
+        if sub is f.sub:
+            return f
+        # s differs from r, so the body changed only at a free r.
+        if f.var == s:
+            raise CaptureError(f"{s!r} is not free for {r!r}")
+        return ForAll(f.var, sub)
 
     return walk(formula)
 
@@ -392,12 +439,16 @@ def instances(quantifier: ForAll, names: tuple[str, ...]) -> tuple[Formula, ...]
     """The capture-free instances of ``quantifier`` over ``names``, in their order.
 
     ``A t. phi`` is read substitutionally: one instance ``phi[s/t]`` for each
-    name s that is free for t in phi.  This is the one place instances are
-    built; the results live in a small bounded cache shared by the whole
-    process, keyed on the quantifier and the names.
+    name s that is free for t in phi, found by one :func:`substitute` walk
+    per name that skips the name on :class:`CaptureError`.  The instances
+    share every subtree of phi without a free t.  This is the one place
+    instances are built; the results live in a small bounded cache shared
+    by the whole process, keyed on the quantifier and the names.
     """
-    return tuple(
-        substitute(quantifier.sub, quantifier.var, name)
-        for name in names
-        if is_free_for(name, quantifier.var, quantifier.sub)
-    )
+    out = []
+    for name in names:
+        try:
+            out.append(substitute(quantifier.sub, quantifier.var, name))
+        except CaptureError:
+            pass
+    return tuple(out)

@@ -44,6 +44,7 @@ PROOF = {
 TOKENS = (
     "p", "q", "m", "r", "s", "t", "u", "sigma", "A", "E", "B", "~", "&", "|",
     "->", "<->", "(", ")", ":", "=", "!=", "*", ".", "1", "@", "",
+    "\u00e9", "\u00b2", "\u00a0",
 )
 FORMULAS = st.sampled_from(
     ["p", "B p -> p", "r:p & ~s:q", "A t. t:p", "E t. B t", "r = s", "s * r:p"]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import class_config, random_formula
-from rbb.parser import ParseError, parse, print_formula, print_reason
+from rbb.parser import ParseError, SourceSpan, _lex, parse, print_formula, print_reason
 from rbb.syntax import (
+    RESERVED_WORDS,
     SIGMA,
     Adequate,
     App,
@@ -170,3 +171,66 @@ def test_round_trip_corpus_at_speed():
         f = random_formula(rng, _FUZZ_CFG, depth=4)
         assert parse(print_formula(f), _FUZZ_CFG) == f
     assert time.perf_counter() - start < 10.0
+
+
+# -- the lexer against the character loop it replaced --------------------------
+
+_PUNCT = ("<->", "->", "!=", "~", "&", "|", "(", ")", ":", "=", "*", ".")
+
+
+def _lex_oracle(text):
+    """The character-by-character lexer, as ``(kind, text, start, end)`` rows."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        for punct in _PUNCT:
+            if text.startswith(punct, i):
+                out.append((punct, punct, i, i + len(punct)))
+                i += len(punct)
+                break
+        else:
+            if ch.isalpha() or ch == "_":
+                j = i + 1
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                word = text[i:j]
+                kind = "kw" if word in RESERVED_WORDS else "ident"
+                out.append((kind, word, i, j))
+                i = j
+            else:
+                raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1))
+    out.append(("eof", "", n, n))
+    return out
+
+
+def _outcome(lex, text):
+    try:
+        return [tuple(tok) for tok in lex(text)]
+    except ParseError as err:
+        return err.message, err.span
+
+
+# Identifier characters, every punctuation token and its pieces, and
+# characters that str.isalpha, str.isalnum and str.isspace tell apart:
+# \u00b2, \u00bd and \u216b are alphanumeric but not alphabetic, \u0663 is a
+# decimal digit, \u00aa is a letter, and \u00a0 is whitespace.
+_PIECES = (
+    list("pqrs_AEB19")
+    + list(_PUNCT)
+    + list("\u00e9\u00b2\u0663\u00bd\u216b\u00aa\u00a0 \t\n-!<@")
+)
+
+
+def test_lexer_matches_the_character_loop():
+    rng = random.Random(17)
+    failed = 0
+    for _ in range(40_000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randrange(12)))
+        want = _outcome(_lex_oracle, text)
+        assert _outcome(_lex, text) == want, text
+        failed += isinstance(want, tuple)
+    assert 10_000 < failed < 30_000

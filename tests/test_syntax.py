@@ -295,3 +295,94 @@ def test_instances_match_the_substitution_oracle():
 
 def test_instances_are_cached_in_a_bounded_cache():
     assert instances.cache_info().maxsize is not None
+
+
+# -- one-walk substitution ----------------------------------------------------
+
+
+def _formula_children(f):
+    if isinstance(f, Or):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Supports, Believes, ForAll)):
+        return (f.sub,)
+    return ()
+
+
+def _assert_shared(before, after, r):
+    """Every subtree of ``before`` without a free ``r`` is in ``after`` as is."""
+    stack = [(before, after)]
+    while stack:
+        old, new = stack.pop()
+        if r not in free_reasons(old):
+            assert new is old, (old, new)
+            continue
+        assert type(new) is type(old) and new is not old
+        stack.extend(zip(_formula_children(old), _formula_children(new)))
+
+
+def _corpus(seed, count):
+    """Seeded QRBBs formulas, and quantifiers whose binders reuse declared names."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_formula(rng, _CFG, depth=4)
+        yield random_quantifier(rng, _CFG.reasons, depth=4)
+
+
+def test_substitution_shares_every_untouched_subtree():
+    names = _CFG.reasons + ("u", "zz")
+    replaced = 0
+    for f in _corpus(20, 300):
+        for r in names:
+            assert substitute(f, r, r) is f
+            out = substitute(f, r, "zz")  # no binder on zz, so no capture
+            _assert_shared(f, out, r)
+            replaced += out is not f
+    assert replaced > 300
+
+
+def test_instances_share_the_body():
+    rng = random.Random(21)
+    names = _CFG.reasons
+    for _ in range(300):
+        quantifier = random_quantifier(rng, names, depth=4)
+        body, var = quantifier.sub, quantifier.var
+        free = [name for name in names if is_free_for(name, var, body)]
+        # Uncached: a cached entry shares the body of an equal, earlier key.
+        got = instances.__wrapped__(quantifier, names)
+        assert len(got) == len(free)
+        for name, inst in zip(free, got):
+            if name != var:
+                _assert_shared(body, inst, var)
+
+
+def test_substitute_raises_exactly_when_not_free_for():
+    names = _CFG.reasons + ("u", "v", "t9")
+    captured = 0
+    for f in _corpus(22, 300):
+        for r in names:
+            for s in names:
+                try:
+                    substitute(f, r, s)
+                except CaptureError:
+                    assert not is_free_for(s, r, f), (f, r, s)
+                    captured += 1
+                else:
+                    assert is_free_for(s, r, f), (f, r, s)
+    assert captured > 100
+
+
+# -- iterative equality -------------------------------------------------------
+
+
+def test_equality_of_deep_formulas_needs_no_recursion():
+    text = " & ".join(["p"] * 10_000)
+    first, second = parse(text, _CFG), parse(text, _CFG)
+    assert first is not second and first == second
+    assert {first: "found"}[second] == "found"
+    changed = parse(" & ".join(["p"] * 5_000 + ["q"] + ["p"] * 4_999), _CFG)
+    assert first != changed and changed != first
+
+
+def test_equality_with_other_objects_is_left_to_them():
+    assert P.__eq__("p") is NotImplemented
+    assert P != "p" and P != Not(P) and Adequate(R) != Adequate(S)
