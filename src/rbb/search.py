@@ -90,10 +90,13 @@ belief literals need.  Each fault the frame checker finds on that closed
 family, (pr), (d), (ma), (mr) or (mt), stays in every closed superset, and
 so does a set the belief literals avoid.  So a base fault drops the
 assignment before any menu is built: at the point in the walk, and at the
-other worlds in the family stage.  By (mr), a key of sigma fails the base
-check when its point row leaves `_ceiling`, r(w0) for each r fixed before
-it with a point literal ``B r``; so the walk skips such a row as one step,
-and forward checks ask only keys inside it (Haralick & Elliott 1980).
+other worlds in the family stage.  A forced reason's degree, sigma's by
+(mb) or r's by a point literal ``B r``, is in the base family, and by (rb)
+so is each superset of its point row.  So `_row_filter` drops a forced
+row inside a set that a literal ``~B phi`` avoids and the letters fix
+(rb), one that misses an earlier forced row (d), and a sigma row outside
+one (mr): each fails the base check.  The walk skips such a row as one
+step, and forward checks never ask its keys (Haralick & Elliott 1980).
 
 The budget is polled at the first step and every 128th after it.  A step
 is a relation step (a check or a completion asked, whether a memo
@@ -115,6 +118,7 @@ its goals do not read r; not so for sigma, which (mr) ties to the others.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -491,16 +495,37 @@ def _base_fault(
     return bool(base & avoid) or fault is not None
 
 
-def _ceiling(schedule: _Schedule, active: tuple[str, ...], rows: list[int], n: int) -> int:
-    """The worlds the next reason's point row may hold after the point rows
-    ``rows``: for sigma, by (mr), inside r(w0) for each point literal B r."""
-    cap = (1 << n) - 1
-    if active[len(rows):len(rows) + 1] == (SIGMA_NAME,):
-        fixed = dict(zip(active, rows))
-        for phi, believed in schedule.point:
-            if believed and isinstance(phi, Adequate):
-                cap &= fixed.get(term_name(phi.reason), cap)
-    return cap
+@functools.cache
+def _subset_families(n: int) -> list[int]:
+    """Entry x is the family, over n worlds, of the subsets of x."""
+    return [sum(1 << r for r in range(1 << n) if not r & ~x) for x in range(1 << n)]
+
+
+def _row_filter(
+    schedule: _Schedule, active: tuple[str, ...], plain: _Ctx
+) -> Callable[[list[int]], int]:
+    """The point-row filter of the valuation ``plain`` evaluates (module
+    docstring): given the point rows fixed so far, the family of rows the
+    next active reason may take, -1 (every row) unless it is forced."""
+    down, point = _subset_families(plain.n), schedule.point
+    forced = {term_name(phi.reason) for phi, held in point if held and isinstance(phi, Adequate)}
+    forced |= {SIGMA_NAME} if plain.cfg.sigma and schedule.prune else set()  # by (mb)
+    fixed = [phi for phi, held in point if not (held or _mentions(phi, (Supports, Adequate)))]
+    bar = 0  # (rb): the rows inside a set that N(w0) avoids
+    for phi in fixed if forced else []:
+        bar |= down[plain.extension(phi)]
+
+    def allowed(rows: list[int]) -> int:
+        name = active[len(rows)]
+        if name not in forced:
+            return -1
+        family = ~bar
+        for reason, row in zip(active, rows):
+            if reason in forced:  # (d) drops the rows that miss it, (mr) sigma's outside it
+                family &= ~down[plain.full ^ row] & (down[row] if name == SIGMA_NAME else -1)
+        return family
+
+    return allowed
 
 
 def _family_menu(
@@ -668,6 +693,7 @@ def _relation_walk(
         return holds(dict(zip(active, shapes)), goals, k == m and schedule.prune)
 
     own = [schedule.reasons.get(name, []) for name in active]
+    allowed = _row_filter(schedule, active, _Ctx(cfg, n, letters, {}, {}, unfixed))
     if not passes([], []):
         return
     if keyed:
@@ -687,6 +713,12 @@ def _relation_walk(
         if not all(menus):
             return
         index = [{key: i for i, key in enumerate(menu)} for menu in menus]
+
+        def span(k: int, row: int) -> range:
+            """Where reason k's keys with point row ``row`` lie in ``menus[k]``."""
+            menu = menus[k]
+            return range(bisect.bisect_left(menu, (row,)), bisect.bisect_left(menu, (row + 1,)))
+
         start = _letter_vectors(schedule, cfg, letters, n, m)
         tags = [sum((x >> i & 1) << j for j, x in enumerate(letters.values())) for i in range(n)]
         memo = {(): (bytearray(len(menus[0]) if m else 0), start)}
@@ -711,8 +743,9 @@ def _relation_walk(
                     if orbit in completions:
                         tick(RELATION)
                     else:
-                        cap = _ceiling(schedule, active, [c[0] for c in chosen], n)
-                        inside = (j for j, (row, _) in enumerate(menus[k + 1]) if not row & ~cap)
+                        cap = allowed([c[0] for c in chosen])
+                        rows = (row for row in range(1 << n) if cap >> row & 1)
+                        inside = (j for row in rows for j in span(k + 1, row))
                         completions[orbit] = any(ok(chosen, j) for j in inside)
                     passed = completions[orbit]
                 state[i] = 1 + passed
@@ -733,12 +766,9 @@ def _relation_walk(
         if k == m:
             yield context(dict(zip(active, shapes)))
             return
-        cap = _ceiling(schedule, active, [shape[0][0] for shape in shapes], n)
+        cap = allowed([shape[0][0] for shape in shapes])
         for row in range(1 << n):
-            if keyed:
-                lo = bisect.bisect_left(menus[k], (row,))
-                hi = bisect.bisect_left(menus[k], (row + 1,))
-            if row & ~cap or keyed and not any(ok(prefix, i) for i in range(lo, hi)):
+            if not cap >> row & 1 or keyed and not any(ok(prefix, i) for i in span(k, row)):
                 tick(RELATION)
                 continue
             for shape in _shapes(n, keyed and not cfg.sigma, row):

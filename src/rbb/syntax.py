@@ -364,20 +364,22 @@ def is_free_for(s: str, r: str, formula: Formula) -> bool:
     Equivalently: no free occurrence of ``r`` lies inside the scope of a
     quantifier binding ``s``.  Substituting a symbol for itself is always
     safe, and ``sigma`` is safe as a substituent because it cannot be bound.
+    The walk keeps an explicit stack, so formulas of any depth are checked.
     """
-    if isinstance(formula, (Letter, Adequate, Eq)):
-        return True
-    if isinstance(formula, Not):
-        return is_free_for(s, r, formula.sub)
-    if isinstance(formula, Or):
-        return is_free_for(s, r, formula.left) and is_free_for(s, r, formula.right)
-    if isinstance(formula, (Supports, Believes)):
-        return is_free_for(s, r, formula.sub)
-    if formula.var == r:
-        return True
-    if formula.var == s:
-        return r not in free_reasons(formula.sub)
-    return is_free_for(s, r, formula.sub)
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Or):
+            stack += (f.right, f.left)
+        elif isinstance(f, (Not, Supports, Believes)):
+            stack.append(f.sub)
+        elif not isinstance(f, ForAll) or f.var == r:
+            continue
+        elif f.var != s:
+            stack.append(f.sub)
+        elif r in free_reasons(f.sub):
+            return False
+    return True
 
 
 def substitute(formula: Formula, r: str, s: str) -> Formula:

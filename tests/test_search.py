@@ -13,12 +13,12 @@ from rbb.search import (
     _append_key,
     _base_fault,
     _believed_operands,
-    _ceiling,
     _class_key,
     _conjuncts,
     _letter_vectors,
     _orbit_key,
     _point_sets,
+    _row_filter,
     _schedule,
     _shape,
     BudgetExceeded,
@@ -35,6 +35,7 @@ from rbb.search import (
 )
 from rbb.semantics import _Ctx, make_model, satisfies, superset_family, validate_model
 from rbb.syntax import (
+    SIGMA_NAME,
     Adequate,
     Believes,
     Eq,
@@ -305,6 +306,7 @@ def test_budget_signal_carries_progress():
         ("RBBs", "B r & r:p -> sigma:p", 4),
         ("QRBBs", "(A t. t:p) -> sigma:p", 3),
         ("RBBs", "B s & B r & s:(p -> q) & r:p -> B q", 3),
+        ("RBBs", "B s & B r & s:(p -> q) & r:p -> B q", 4),
     ],
 )
 def test_sigma_axiom_probes_are_decided(theory, text, worlds):
@@ -312,9 +314,10 @@ def test_sigma_axiom_probes_are_decided(theory, text, worlds):
     # B r literal keeps every sigma point row outside r(w0) out of the walk,
     # and the rows left have no key that passes ~sigma:p.  The instance
     # sigma:p of the quantifier empties sigma's menu.  In RCL2, (mr) puts
-    # sigma(w0) inside r(w0) and s(w0), so (mb) and (rb) put ext(q) in the
-    # point's base family, against ~B q: the base check rules out each
-    # class of key tuples left after the filter.
+    # sigma(w0) inside r(w0) and s(w0), which r:p and s:(p -> q) put inside
+    # ext(q); (mb) and (rb) would then put ext(q) in N(w0), against ~B q.
+    # So the walk drops every sigma point row before any check, and the base
+    # check has no work left.
     cfg = TheoryConfig.from_name(theory, ("r", "s"), ("p", "q"))
     bounds = SearchBounds(max_worlds=worlds, budget_secs=30.0)
     assert isinstance(check_nonvalidity(parse(text, cfg), cfg, bounds), Exhausted)
@@ -335,6 +338,25 @@ def test_base_checks_are_decided_once_per_class(monkeypatch):
     cfg = TheoryConfig.from_name("RBBs", ("r", "s"), ("p", "q"))
     bounds = SearchBounds(max_worlds=4, budget_secs=None)
     goal = parse("B r & r:p -> sigma:p", cfg)
+    assert isinstance(check_nonvalidity(goal, cfg, bounds), Exhausted)
+    assert len(calls) == 0
+
+
+def test_rcl2_makes_no_base_check(monkeypatch):
+    # r:p and s:(p -> q) put each sigma point row that (mr) leaves inside
+    # ext(q), which ~B q keeps out of N(w0) while (mb) and (rb) would force
+    # it in.  So the walk drops those rows by (rb) too, and no key tuple
+    # reaches the base check at three worlds.  With only the (mr) filter,
+    # each class of key tuples left was decided there: 17,160 base checks,
+    # every one a fault.
+    calls = []
+    real = rbb.search._base_fault
+    monkeypatch.setattr(
+        rbb.search, "_base_fault", lambda *args: calls.append(1) or real(*args)
+    )
+    cfg = TheoryConfig.from_name("RBBs", ("r", "s"), ("p", "q"))
+    bounds = SearchBounds(max_worlds=3, budget_secs=None)
+    goal = parse("B s & B r & s:(p -> q) & r:p -> B q", cfg)
     assert isinstance(check_nonvalidity(goal, cfg, bounds), Exhausted)
     assert len(calls) == 0
 
@@ -424,7 +446,9 @@ def test_unpruned_candidate_counts(text, cfg, expected):
 # eighth), the (ma) conflict, sigma's adequacy with ~sigma:p, a top-level
 # quantifier whose instances are belief literals, a belief operand that
 # reads the non-point rows of a reason the walk fixes before sigma, and two
-# reasons under sigma, where B r keeps sigma's point rows inside r(w0).
+# reasons under sigma, where B r keeps sigma's point rows inside r(w0).  In
+# the last two a forced reason's point row is filtered by (rb), since ~B q
+# keeps ext(q) out of N(w0), and, for B r and B s, by (d).
 PRUNING_CASES = [
     ("RBB", ("r",), ("p", "q"), ("B p", "~B q")),
     ("RBB", ("r",), ("p", "q"), ("B (p | q)", "~B p", "~p")),
@@ -446,6 +470,8 @@ PRUNING_CASES = [
     ("QRBB", ("r", "s"), ("p",), ("A t. ~B t", "B p", "E t. t")),
     ("RBBs", ("r",), ("p",), ("B (r:p)", "~B (sigma:p)")),
     ("RBBs", ("r", "s"), ("p",), ("B r", "r:p", "s:p", "~B s")),
+    ("RBB", ("r", "s"), ("p", "q"), ("B r", "B s", "r:p", "~B q")),
+    ("RBBs", ("r",), ("p", "q"), ("B r", "~B q")),
 ]
 
 
@@ -461,15 +487,17 @@ def test_pruning_drops_no_witness(theory, reasons, letters, texts):
 # Keyed cases whose unpruned walk at three worlds takes a few seconds at
 # most: there two non-point worlds can share a valuation, so the relation
 # walk's checks are decided once per class.  The third has a check at the
-# second reason, and reads no diagonal beyond the point.  In the last only
+# second reason, and reads no diagonal beyond the point.  In the fourth only
 # the second reason's own conjunct reads q, so whether r's keys have a
 # completion turns on q at the worlds r's diagonal holds: the completion
-# memo must tell those worlds apart.
+# memo must tell those worlds apart.  In the last both reasons are forced,
+# so the walk filters their point rows by (rb) and (d).
 PRUNING_CASES_AT_THREE = [
     ("RBB", ("r",), ("p",), ("~B (B p)", "B p", "r", "~p")),
     ("RBBs+", ("r",), ("p",), ("B p", "~B (~p)")),
     ("RBB", ("r", "s"), ("p",), ("r:p | s", "~B r")),
     ("RBB", ("r", "s"), ("q",), ("~s:q", "s:r", "~B r")),
+    ("RBB", ("r", "s"), ("p",), ("B r", "B s", "~B p")),
 ]
 
 
@@ -605,27 +633,35 @@ def test_literal_propagation_is_exact():
 
 
 # Pieces that put r-degree or s-degree into the point's base family, or
-# keep it out, next to checks on sigma and on the other reasons.
+# keep it out, or keep a set the letters fix out of it, next to checks on
+# sigma and on the other reasons.
 CEILING_PIECES = (
     "B r", "B s", "~B r", "r:p", "s:q", "~sigma:p", "sigma:q", "sigma", "r | s:p",
-    "B (q | s)", "~B (p & r)",
+    "B (q | s)", "~B (p & r)", "~B q", "~B p",
 )
 
 
-def test_sigma_ceiling_is_exact():
-    # The walk drops each sigma key whose point row leaves `_ceiling` of the
-    # point rows fixed before it.  Each dropped key must be one the base
-    # check at the last position rejects, whatever the valuation and the
-    # other keys, so the filter changes no candidate.
+def test_point_row_filter_is_exact():
+    # The walk drops each point row of a forced reason that `_row_filter`
+    # leaves out after the point rows fixed before it: by (mr), a sigma row
+    # outside r(w0) for a point literal B r; by (rb), a row inside a set
+    # that a point literal ~B phi avoids and the letters fix; by (d), a row
+    # that misses an earlier forced row.  Each dropped row must be one the
+    # base check at the last position rejects, whatever the valuation, its
+    # diagonal and the later keys, so the filter changes no candidate.
     rng = random.Random(13)
-    cfgs = (
-        TheoryConfig.from_name("RBBs", ("r", "s"), ("p", "q")),
-        TheoryConfig.from_name("RBBs+", ("r", "s"), ("p", "q")),
-    )
-    sets = capped = dropped = 0
-    while sets < 60:
-        cfg = cfgs[sets % 2]
-        texts = rng.sample(CEILING_PIECES, rng.randint(2, 4))
+    cfgs = [TheoryConfig.from_name(t, ("r", "s"), ("p", "q")) for t in ("RBB", "RBBs", "RBBs+")]
+    sets = capped = 0
+    cuts = dict.fromkeys(("mr", "rb", "d"), 0)
+
+    def key(row=None):
+        row = rng.randrange(1 << n) if row is None else row
+        return row, rng.randrange(1 << n) & ~1 | row & 1
+
+    while sets < 90:
+        cfg = cfgs[sets % 3]
+        pieces = [t for t in CEILING_PIECES if cfg.sigma or "sigma" not in t]
+        texts = rng.sample(pieces, rng.randint(2, 4))
         goals = {
             c
             for t in texts
@@ -635,19 +671,33 @@ def test_sigma_ceiling_is_exact():
         if schedule is None:
             continue
         sets += 1
-        n = 3
+        n, m, point = 3, len(cfg.reasons), dict(schedule.point)
+        # Degrees in every point family: sigma's by (mb), r's by a literal B r.
+        forced = {r for r in cfg.reasons if r == SIGMA_NAME or point.get(Adequate(atom_term(r)))}
+        plain = [
+            phi for phi, believed in schedule.point
+            if not believed and not any(isinstance(f, (Supports, Adequate)) for f in subformulas(phi))
+        ]
         for _ in range(4):
             letters = {p: rng.randrange(1 << n) for p in cfg.letters}
-            rows = [rng.randrange(1 << n) for _ in cfg.basic_reasons]
-            prefix = tuple((row, rng.randrange(1 << n) & ~1 | row & 1) for row in rows)
-            cap = _ceiling(schedule, cfg.reasons, rows, n)
-            capped += cap != (1 << n) - 1
-            for row, d in itertools.product(range(1 << n), range(0, 1 << n, 2)):
-                if row & ~cap:
-                    dropped += 1
-                    key = (row, d | row & 1)
-                    assert not _keyed_check(cfg, n, letters, schedule, (*prefix, key)), texts
-    assert capped > 50 and dropped > 1000, (capped, dropped)
+            ctx = _Ctx(cfg, n, letters, {}, {}, (0,) * n)
+            avoided = [ctx.extension(phi) for phi in plain]
+            allowed = _row_filter(schedule, cfg.reasons, ctx)
+            for k, name in enumerate(cfg.reasons):
+                prefix = tuple(key() for _ in range(k))
+                family = allowed([row for row, _ in prefix])
+                dropped = [row for row in range(1 << n) if not family >> row & 1]
+                capped += name == SIGMA_NAME and bool(dropped)
+                earlier = [row for r, (row, _) in zip(cfg.reasons, prefix) if r in forced]
+                for row in dropped:
+                    assert name in forced, texts
+                    cuts["mr"] += name == SIGMA_NAME and any(row & ~e for e in earlier)
+                    cuts["rb"] += any(not row & ~x for x in avoided)
+                    cuts["d"] += any(not row & e for e in earlier)
+                    for _ in range(3):
+                        chosen = (*prefix, key(row), *(key() for _ in range(k + 1, m)))
+                        assert not _keyed_check(cfg, n, letters, schedule, chosen), texts
+    assert capped > 50 and min(cuts.values()) > 300, (capped, cuts)
 
 
 def test_folding_expands_an_exposed_quantifier():

@@ -371,6 +371,43 @@ def test_substitute_raises_exactly_when_not_free_for():
     assert captured > 100
 
 
+def _is_free_for_recursive(s, r, formula):
+    """The recursive definition, kept as the oracle of the iterative walk."""
+    if isinstance(formula, (Letter, Adequate, Eq)):
+        return True
+    if isinstance(formula, Or):
+        return _is_free_for_recursive(s, r, formula.left) and _is_free_for_recursive(
+            s, r, formula.right
+        )
+    if isinstance(formula, ForAll) and formula.var == r:
+        return True
+    if isinstance(formula, ForAll) and formula.var == s:
+        return r not in free_reasons(formula.sub)
+    return _is_free_for_recursive(s, r, formula.sub)
+
+
+def test_is_free_for_agrees_with_the_recursive_definition():
+    names = _CFG.reasons + ("u", "v", "t9")
+    captured = 0
+    for f in _corpus(23, 300):
+        for r in names:
+            for s in names:
+                want = _is_free_for_recursive(s, r, f)
+                assert is_free_for(s, r, f) == want, (f, r, s)
+                captured += not want
+    assert captured > 100
+
+
+def test_is_free_for_needs_no_recursion():
+    body = conj(*[Adequate(atom_term("t"))] * 10_000)
+    assert is_free_for("r", "t", body)
+    assert not is_free_for("r", "t", ForAll("r", body))
+    # The capture sits under 10,000 conjunctions.
+    assert not is_free_for("r", "t", conj(*[P] * 10_000, ForAll("r", Adequate(atom_term("t")))))
+    with pytest.raises(RecursionError):
+        _is_free_for_recursive("r", "t", body)
+
+
 # -- iterative equality -------------------------------------------------------
 
 
