@@ -107,12 +107,12 @@ A candidate that survives the quick checks is rebuilt as a public
 :class:`~rbb.semantics.Model` and re-examined with `validate_model` and
 `satisfies`, so the enumerator's bitmask shortcuts are never the final
 authority.  Exhaustion means the bounded space holds no witness, nothing
-more, and the Exhausted contract has two caveats.  Families outside the
+more, and the Exhausted contract has one caveat: families outside the
 seed-closure pool are not tried, so a belief operand that nests Believes
-(``B B p``) can miss a witness.  A reason outside the active alphabet sees
-every world, and a shared name's letter holds everywhere, by (pr).  Then
-r-degree is W, (rb), (ma) and (mr) hold for r, and a witness stays one if
-its goals do not read r; not so for sigma, which (mr) ties to the others.
+(``B B p``) can miss a witness.  A reason outside the active alphabet, which
+the goals alone fix and which always holds sigma, sees every world, and a
+shared name's letter holds everywhere, by (pr).  Then r-degree is W, (rb),
+(ma) and (mr) hold for r, and a witness stays one if its goals do not read r.
 """
 
 from __future__ import annotations
@@ -163,8 +163,6 @@ class SearchBounds:
     max_worlds: int = 3
     max_seeds: int = 4
     budget_secs: float | None = 30.0
-    reasons: tuple[str, ...] | None = None
-    letters: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_worlds <= MAX_WORLDS_CAP:
@@ -251,11 +249,9 @@ def _rb_closure(family: int, i: int, ctx: _Ctx, up: list[int]) -> int:
 
 
 def _active_alphabets(
-    goals: tuple[Formula, ...], cfg: TheoryConfig, bounds: SearchBounds
+    goals: tuple[Formula, ...], cfg: TheoryConfig
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    if bounds.reasons is not None:
-        reasons = tuple(bounds.reasons)
-    elif any(_mentions(g, (ForAll,)) for g in goals):
+    if any(_mentions(g, (ForAll,)) for g in goals):
         # A quantifier ranges over every declared reason, so narrowing to
         # the free ones would silently fix the bound ones' relations full.
         reasons = cfg.reasons
@@ -266,13 +262,10 @@ def _active_alphabets(
         if cfg.sigma:
             used.add(SIGMA_NAME)
         reasons = tuple(r for r in cfg.reasons if r in used)
-    if bounds.letters is not None:
-        letters = tuple(bounds.letters)
-    else:
-        used_letters: set[str] = set()
-        for goal in goals:
-            used_letters |= formula_letters(goal)
-        letters = tuple(p for p in cfg.letters if p in used_letters)
+    used_letters: set[str] = set()
+    for goal in goals:
+        used_letters |= formula_letters(goal)
+    letters = tuple(p for p in cfg.letters if p in used_letters)
     # (pr) ties a shared name's letter to its reason: vary both sides or neither.
     shared = set(cfg.reasons) & set(cfg.letters) & {*reasons, *letters}
     reasons += tuple(x for x in cfg.reasons if x in shared - set(reasons))
@@ -590,7 +583,7 @@ def iter_candidates(
         ensure_in_language(goal, cfg)
         split.update(_conjuncts(goal))
     goal_list = tuple(sorted(split, key=print_formula))
-    active_reasons, active_letters = _active_alphabets(goal_list, cfg, bounds)
+    active_reasons, active_letters = _active_alphabets(goal_list, cfg)
     operands = _believed_operands(goal_list, cfg)
 
     # With no Supports nested in a goal, no relation-stage check reads a
@@ -912,8 +905,9 @@ def bounds_to_doc(bounds: SearchBounds) -> dict:
         "max_worlds": bounds.max_worlds,
         "max_seeds": bounds.max_seeds,
         "budget_secs": bounds.budget_secs,
-        "reasons": list(bounds.reasons) if bounds.reasons is not None else None,
-        "letters": list(bounds.letters) if bounds.letters is not None else None,
+        # Constant nulls keep the pinned outcome documents byte-stable.
+        "reasons": None,
+        "letters": None,
     }
 
 

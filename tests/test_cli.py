@@ -501,9 +501,17 @@ def test_library_table(capsys):
     lines = out.splitlines()
     assert lines[-1] == "14/14 accepted"
     assert all("  pass  " in line for line in lines[:-1])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4e3cc6d90f40fcaba4cfc60b6a9a7b6a4f9a938937dc33ebaabe33ab0fba89ed"
+    )
     code, out, _ = run(capsys, "library", "--format", "json")
+    assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["accepted"] == doc["total"] == 14
+    assert all(row["accepted"] is True for row in doc["theorems"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bf179c8fa5ba6bab3609538fe8de1d135667f4737f92c6c47e058ad6903d77a1"
+    )
 
 
 def test_library_with_a_corrupt_fixture_exits_1(capsys, monkeypatch):

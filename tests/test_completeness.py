@@ -17,7 +17,16 @@ import corpus
 from rbb.parser import parse, print_formula
 from rbb.search import Exhausted, SearchBounds, Witness, find_model
 from rbb.semantics import make_model, satisfies, validate_model
-from rbb.syntax import Adequate, Believes, Not, atom_term, conj, subformulas
+from rbb.syntax import (
+    SIGMA_NAME,
+    Adequate,
+    Believes,
+    Not,
+    atom_term,
+    conj,
+    free_reasons,
+    subformulas,
+)
 from rbb.theory import TheoryConfig
 
 
@@ -94,6 +103,25 @@ def test_search_finds_a_two_world_model_when_one_exists():
     assert len(models) == 10 + 3056
     for goals in _goal_sets(cfg, 100, seed=2):
         _assert_search_agrees(cfg, models, goals, 2)
+
+
+def test_sigma_beside_an_unmentioned_reason_at_one_world():
+    # Sigma is always active, and (mr) bounds its row by each believed
+    # reason's; a basic reason the goals leave out sees every world, so it
+    # bounds nothing.  8 of the 64 models are valid; the goal sets name r
+    # alone, s alone, or both.
+    cfg = TheoryConfig.from_name("RBBs", ("r", "s"), ("p",))
+    models = list(_valid_models(cfg, 1))
+    assert len(models) == 8
+    for seed, named in enumerate([{"r"}, {"s"}, {"r", "s"}], start=3):
+        sub = TheoryConfig.from_name("RBBs", sorted(named), ("p",))
+        sets = (
+            goals
+            for goals in _goal_sets(sub, 10**6, seed)
+            if set().union(*map(free_reasons, goals)) - {SIGMA_NAME} == named
+        )
+        for goals in itertools.islice(sets, 300):
+            _assert_search_agrees(cfg, models, goals, 1)
 
 
 def test_an_unmentioned_shared_name_is_a_letter_true_everywhere():

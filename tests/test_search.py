@@ -25,7 +25,6 @@ from rbb.search import (
     Exhausted,
     SearchBounds,
     Witness,
-    bounds_to_doc,
     check_nonvalidity,
     find_model,
     find_models,
@@ -78,6 +77,14 @@ def test_bounds_validation():
     assert SearchBounds(budget_secs=None).budget_secs is None
 
 
+def test_bounds_name_no_alphabet():
+    # The search takes both alphabets from the goals; a caller cannot narrow them.
+    with pytest.raises(TypeError):
+        SearchBounds(reasons=("r",))
+    with pytest.raises(TypeError):
+        SearchBounds(letters=("p",))
+
+
 def test_nan_budget_is_refused():
     # NaN is not <= 0 and no clock is ever past it, so it would lift the budget.
     with pytest.raises(ValueError, match="budget"):
@@ -92,7 +99,16 @@ def test_outcome_docs():
     assert doc["model"]["point"] == w.world
 
     e = Exhausted(W2)
-    assert outcome_to_doc(e) == {"kind": "exhausted", "bounds": bounds_to_doc(W2)}
+    assert outcome_to_doc(e) == {
+        "kind": "exhausted",
+        "bounds": {
+            "max_worlds": 2,
+            "max_seeds": 4,
+            "budget_secs": 30.0,
+            "reasons": None,
+            "letters": None,
+        },
+    }
     b = BudgetExceeded("stopped after 128 candidates, 2 of 3 worlds")
     assert outcome_to_doc(b)["kind"] == "budget-exceeded"
     assert "128" in outcome_to_doc(b)["progress"]
@@ -213,6 +229,18 @@ OVERLAP_GOALS = {
     "split": [Letter("p"), parse("~p", OVERLAP)],
     "keyed-split": [parse("r:p & r", OVERLAP), Not(Letter("p"))],
 }
+
+
+def test_sigma_is_varied_when_the_goals_leave_it_out():
+    # Sigma is always active.  Fixed full like an unmentioned basic reason,
+    # it would make (mr) force r(w0) = W under B r, and r:p would fail at a
+    # point where p is false.
+    cfg = TheoryConfig.from_name("RBBs", ("r", "s"), ("p", "q"))
+    goals = [parse(t, cfg) for t in ("B r", "r:p", "~p")]
+    out = find_model(goals, cfg, W3)
+    assert isinstance(out, Witness)
+    assert validate_model(out.model, cfg).ok
+    assert all(satisfies(out.model, out.world, g, cfg) for g in goals)
 
 
 def _one_world_models():
