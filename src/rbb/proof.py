@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+from .parser import ParseError, parse, print_formula, print_reason
 from .syntax import (
+    Adequate,
     Believes,
     Formula,
     ForAll,
@@ -199,7 +201,7 @@ def _check_step(
         return None
 
     if isinstance(just, Gen):
-        if "Gen" not in cfg.rules:
+        if not cfg.quantified:
             return f"(Gen) is not a rule of {cfg.name}"
         source = proof.steps[just.source - 1].formula
         if cur != ForAll(just.var, source):
@@ -241,8 +243,6 @@ def check_proof(proof: Proof, library: Library | None = None) -> Verdict:
 
 
 def _just_to_doc(just: Justification) -> dict:
-    from .parser import print_reason
-
     if isinstance(just, Axiom):
         return {"axiom": just.scheme.value}
     if isinstance(just, MP):
@@ -263,9 +263,6 @@ def _index(value: object) -> int:
 
 
 def _just_from_doc(doc: dict, cfg: TheoryConfig) -> Justification:
-    from .parser import ParseError, parse
-    from .syntax import Adequate
-
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ValueError(f"malformed justification {doc!r}")
     kind, value = next(iter(doc.items()))
@@ -300,8 +297,6 @@ def _just_from_doc(doc: dict, cfg: TheoryConfig) -> Justification:
 
 
 def proof_to_doc(proof: Proof) -> dict:
-    from .parser import print_formula
-
     return {
         "name": proof.name,
         "theory": proof.theory.to_doc(),
@@ -319,8 +314,6 @@ def proof_to_doc(proof: Proof) -> dict:
 
 def proof_from_doc(doc: dict) -> Proof:
     """The inverse of :func:`proof_to_doc`; any other JSON shape is a ValueError."""
-    from .parser import parse
-
     if not isinstance(doc, dict):
         raise ValueError("a proof document must be a JSON object")
     cfg = TheoryConfig.from_doc(doc.get("theory"))

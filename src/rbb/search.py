@@ -882,7 +882,10 @@ def find_models(
 
     The terminal outcome is None when the limit stopped the walk, otherwise
     Exhausted or BudgetExceeded; the budget covers the whole collection.
+    A ``limit`` below 1 is a ValueError.
     """
+    if limit < 1:
+        raise ValueError(f"the witness limit must be at least 1, got {limit}")
     bounds = bounds or SearchBounds()
     deadline = (
         time.monotonic() + bounds.budget_secs

@@ -29,13 +29,17 @@ still gets a fresh context with its own memo.  Every context takes the
 instances of a quantifier from :func:`~rbb.syntax.instances`, whose cache
 serves the whole process.  The App variant gets no semantics here,
 matching its proof-theoretic-only status.
+
+:class:`_Ctx` also decides (CL) for the proof checker: a truth table over k
+atoms is a context of 2^k worlds, one per row, whose memo holds each atom's
+rows before the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .syntax import (
     SIGMA_NAME,
@@ -53,7 +57,9 @@ from .syntax import (
     instances,
     term_name,
 )
-from .theory import TheoryConfig, is_string_array
+
+if TYPE_CHECKING:
+    from .theory import TheoryConfig
 
 #: Validation quantifies over all subsets of W, so it refuses models beyond
 #: this many worlds instead of silently taking minutes.
@@ -602,6 +608,10 @@ def model_to_doc(model: Model, point: str | None = None) -> dict:
             raise UnknownWorld(f"unknown point {point!r}")
         doc["point"] = point
     return doc
+
+
+def is_string_array(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def model_from_doc(doc: dict) -> tuple[Model, str | None]:

@@ -11,9 +11,14 @@ rules are available:
 * quantified variants add (UD), (UI), (EP), (EN) and the rule Gen;
 * the App variant replaces (RK) by (APP) and restricts RN to basic reasons.
 
-(CL) is decided by brute-force truth tables over the propositional skeleton:
-maximal subformulas that are not negations or disjunctions are treated as
-opaque atoms, identified up to structural equality.
+Only :attr:`TheoryConfig.schemes` is listed; the rules follow from the
+flags, so :meth:`TheoryConfig.extends` is scheme and alphabet containment.
+
+(CL) is decided by a truth table over the propositional skeleton: maximal
+subformulas that are not negations or disjunctions are treated as opaque
+atoms, identified up to structural equality.  The table is one evaluation by
+the package's bitmask evaluator, :class:`~rbb.semantics._Ctx`, over a context
+whose worlds are the table's rows.
 
 Every other scheme but (UI) is written once, as a template built with the
 syntax constructors and read as the paper states the scheme.  In a template
@@ -31,11 +36,11 @@ enabled scheme it instantiates.
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable
 
+from .semantics import _Ctx, is_string_array, superset_family
 from .syntax import (
     RESERVED_WORDS,
     SIGMA,
@@ -84,10 +89,6 @@ class SchemeId(enum.Enum):
     MR = "MR"
     MT = "MT"
     APP = "APP"
-
-
-def is_string_array(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def _check_names(kind: str, names: tuple[str, ...]) -> None:
@@ -213,24 +214,16 @@ class TheoryConfig:
             out.update({SchemeId.UD, SchemeId.UI, SchemeId.EP, SchemeId.EN})
         return frozenset(out)
 
-    @property
-    def rules(self) -> frozenset[str]:
-        out = {"MP", "RN", "E"}
-        if self.quantified:
-            out.add("Gen")
-        return frozenset(out)
-
     def extends(self, other: "TheoryConfig") -> bool:
         """True when every proof under ``other`` is also a proof under self.
 
-        Requires scheme, rule, and alphabet containment plus an identical App
-        flag (the App variant restricts RN, so it is incomparable with the
-        rest of the family).
+        Requires scheme and alphabet containment.  The rules follow: (Gen)
+        comes with the quantifier schemes, and the App variant, which
+        restricts RN, has (APP) where the rest of the family has (RK), so it
+        is incomparable with the rest.
         """
         return (
             other.schemes <= self.schemes
-            and other.rules <= self.rules
-            and other.app == self.app
             and set(other.reasons) <= set(self.reasons)
             and set(other.letters) <= set(self.letters)
         )
@@ -241,48 +234,44 @@ class TheoryConfig:
 
 
 def _skeleton_atoms(formula: Formula) -> list[Formula]:
+    """The skeleton's distinct atoms, left to right."""
     atoms: list[Formula] = []
     seen: set[Formula] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Not):
-            walk(f.sub)
-        elif isinstance(f, Or):
-            walk(f.left)
-            walk(f.right)
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is Not:
+            stack.append(f.sub)
+        elif kind is Or:
+            stack.append(f.right)
+            stack.append(f.left)
         elif f not in seen:
             seen.add(f)
             atoms.append(f)
-
-    walk(formula)
     return atoms
 
 
-def _eval_skeleton(formula: Formula, value: dict[Formula, bool]) -> bool:
-    if isinstance(formula, Not):
-        return not _eval_skeleton(formula.sub, value)
-    if isinstance(formula, Or):
-        return _eval_skeleton(formula.left, value) or _eval_skeleton(formula.right, value)
-    return value[formula]
-
-
 def is_tautology_instance(formula: Formula) -> bool:
-    """Decide (CL) membership by truth tables over the propositional skeleton.
+    """Decide (CL) membership by a truth table over the propositional skeleton.
 
     Maximal non-Boolean subformulas are opaque atoms, identified up to
     structural equality.  Skeletons beyond ``MAX_SKELETON_ATOMS`` atoms raise
     :class:`SkeletonTooLarge` rather than being silently accepted or refused.
     """
     atoms = _skeleton_atoms(formula)
-    if len(atoms) > MAX_SKELETON_ATOMS:
+    k = len(atoms)
+    if k > MAX_SKELETON_ATOMS:
         raise SkeletonTooLarge(
-            f"propositional skeleton has {len(atoms)} atoms "
+            f"propositional skeleton has {k} atoms "
             f"(cap {MAX_SKELETON_ATOMS}); split the step into smaller pieces"
         )
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        if not _eval_skeleton(formula, dict(zip(atoms, bits))):
-            return False
-    return True
+    # Row j of the table is world j of 2^k worlds, and atom i is true at the
+    # rows with bit i set.  Every atom is in the memo before the walk, so the
+    # context evaluates only Not and Or and never reads its configuration.
+    ctx = _Ctx(None, 1 << k, {}, {}, {}, ())
+    ctx.memo.update((atom, superset_family(1 << i, k)) for i, atom in enumerate(atoms))
+    return ctx.extension(formula) == ctx.full
 
 
 # ---------------------------------------------------------------------------

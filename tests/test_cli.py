@@ -489,6 +489,13 @@ def test_scenario_attack_out_of_budget_exits_4(capsys, monkeypatch):
     assert {q["nonvalidity"]["kind"] for q in doc["queries"]} == {"budget-exceeded"}
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_scenario_witness_cap_below_one_is_bad_input(capsys, cap):
+    code, out, err = run(capsys, "scenario", "Barn", "--witnesses", cap, "--bounds", "worlds=2")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and "witness limit" in err
+
+
 def test_scenario_unknown_name():
     with pytest.raises(SystemExit) as exc:
         main(["scenario", "G3"])

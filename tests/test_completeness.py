@@ -50,6 +50,44 @@ def _valid_models(cfg, n):
                     yield model
 
 
+TWO_WORLDS = ("w0", "w1")
+
+
+def _passing_families(cfg, access, valuation):
+    """For each of w0 and w1, the families that pass every frame check there,
+    given the relations and the valuation.
+
+    `_Ctx.faults` checks each world alone: it reads N(w_i), the rows at w_i,
+    the degree sets and the letters at w_i, and the relations fix the degree
+    sets.  Giving both worlds the same family checks it at both in one call.
+    """
+    passing = ([], [])
+    for family in _subsets(_subsets(TWO_WORLDS)):
+        model = make_model(TWO_WORLDS, access, dict.fromkeys(TWO_WORLDS, family), valuation)
+        faulty = {v.world for v in validate_model(model, cfg).violations}
+        for w, out in zip(TWO_WORLDS, passing):
+            if w not in faulty:
+                out.append(family)
+    return passing
+
+
+def _relation_valuation_pairs(cfg):
+    relations = _subsets(list(itertools.product(TWO_WORLDS, repeat=2)))
+    for access in itertools.product(relations, repeat=len(cfg.reasons)):
+        for true in itertools.product(_subsets(TWO_WORLDS), repeat=len(cfg.letters)):
+            valuation = {w: [p for p, t in zip(cfg.letters, true) if w in t] for w in TWO_WORLDS}
+            yield dict(zip(cfg.reasons, access)), valuation
+
+
+def _valid_two_world_models(cfg):
+    """Every model of ``cfg`` on w0, w1 that `validate_model` accepts, factored
+    by world: with the relations and the valuation fixed, the valid models
+    are the product of the families that pass at each world."""
+    for access, valuation in _relation_valuation_pairs(cfg):
+        for pair in itertools.product(*_passing_families(cfg, access, valuation)):
+            yield make_model(TWO_WORLDS, access, dict(zip(TWO_WORLDS, pair)), valuation)
+
+
 def _nested(goals):
     return any(
         isinstance(f, Believes) and any(isinstance(g, Believes) for g in subformulas(f.sub))
@@ -97,11 +135,49 @@ def test_search_finds_a_one_world_model_when_one_exists(theory):
 
 def test_search_finds_a_two_world_model_when_one_exists():
     # All 16,384 models of one reason and one letter at two worlds, 3,056 of
-    # them valid; the sigma theories have 16 times as many, past a unit test.
+    # them valid; the sigma theories have 16 times as many, which the
+    # factored enumeration below reaches instead.
     cfg = TheoryConfig.from_name("RBB", ("r",), ("p",))
     models = [m for n in (1, 2) for m in _valid_models(cfg, n)]
     assert len(models) == 10 + 3056
     for goals in _goal_sets(cfg, 100, seed=2):
+        _assert_search_agrees(cfg, models, goals, 2)
+
+
+def test_the_two_world_models_factor_by_world():
+    # The plain filter over all 256 family pairs, on a sample of the 1,024
+    # relation-valuation pairs of each sigma theory.
+    rng = random.Random(7)
+    families = _subsets(_subsets(TWO_WORLDS))
+    for theory in ("RBBs", "RBBs+"):
+        cfg = TheoryConfig.from_name(theory, ("r",), ("p",))
+        for access, valuation in rng.sample(list(_relation_valuation_pairs(cfg)), 6):
+            plain = [
+                pair
+                for pair in itertools.product(families, repeat=2)
+                if validate_model(
+                    make_model(TWO_WORLDS, access, dict(zip(TWO_WORLDS, pair)), valuation),
+                    cfg,
+                ).ok
+            ]
+            assert plain == list(itertools.product(*_passing_families(cfg, access, valuation)))
+
+
+@pytest.mark.parametrize("theory", ["RBBs", "RBBs+"])
+def test_search_finds_a_two_world_sigma_model_when_one_exists(theory):
+    # Sigma is always active, and r is active when the goals name it.  The
+    # repro needs sigma(w0) narrower than W: fixed full, (mr) would force
+    # r(w0) = W, and r:p would contradict ~p at w1.
+    cfg = TheoryConfig.from_name(theory, ("r",), ("p",))
+    models = [*_valid_models(cfg, 1), *_valid_two_world_models(cfg)]
+    assert len(models) == {"RBBs": 4 + 868, "RBBs+": 4 + 324}[theory]
+    # (mb) and (rb) for sigma put W in every family, so (d) keeps the empty
+    # set out of all of them: a reason with the empty relation is never
+    # believed here, and only the RBB and QRBB oracles can tell it from one
+    # with the full relation.
+    assert not any(frozenset() in m.neighborhoods[w] for m in models for w in m.worlds)
+    repro = [parse(t, cfg) for t in ("B r", "r:p", "~p")]
+    for goals in [repro, *_goal_sets(cfg, 300, seed=5)]:
         _assert_search_agrees(cfg, models, goals, 2)
 
 

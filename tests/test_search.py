@@ -434,6 +434,12 @@ def test_find_models_limit():
     assert len({str(d) for d in docs}) == 4
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_find_models_refuses_a_limit_below_one(limit):
+    with pytest.raises(ValueError, match="witness limit"):
+        find_models([parse("~B p", RBB)], RBB, W2, limit=limit)
+
+
 # Unpruned enumeration sizes at one world, counted by hand.
 #
 # B p under RBB with alphabet r / p: the relation shape is restricted and

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from rbb.theory import (
     SkeletonTooLarge,
     TheoryConfig,
     _is_ui,
+    _skeleton_atoms,
     is_tautology_instance,
     match_axiom,
 )
@@ -141,6 +143,108 @@ def test_skeleton_cap():
         distinct = Or(distinct, Supports(R, disj(*([P] * (i + 1)))))
     with pytest.raises(SkeletonTooLarge):
         is_tautology_instance(distinct)
+
+
+def _row_oracle(formula):
+    """(CL) by evaluating the skeleton once per truth-table row, and its atoms
+    in order of first occurrence."""
+    atoms = {}
+
+    def source(f):
+        if isinstance(f, Not):
+            return f"(not {source(f.sub)})"
+        if isinstance(f, Or):
+            return f"({source(f.left)} or {source(f.right)})"
+        return f"row[{atoms.setdefault(f, len(atoms))}]"
+
+    value = eval(f"lambda row: {source(formula)}")
+    rows = itertools.product((False, True), repeat=len(atoms))
+    return all(value(row) for row in rows), list(atoms)
+
+
+# Opaque atoms, each built afresh on every call, so that repeated draws are
+# structurally equal but distinct objects.
+_ATOMS = [
+    lambda i: Letter(f"p{i}"),
+    lambda i: Believes(disj(Letter(f"p{i}"), Not(P))),
+    lambda i: Supports(R, Letter(f"p{i}")),
+    lambda i: Adequate(atom_term(f"r{i}")),
+]
+
+
+def _random_skeleton(rng, k):
+    """A random Not/Or skeleton over exactly k atoms, some drawn twice."""
+    kinds = [rng.choice(_ATOMS) for _ in range(k)]
+    picks = list(range(k)) + [rng.randrange(k) for _ in range(rng.randint(0, k))]
+    rng.shuffle(picks)
+    parts = [kinds[i](i) for i in picks]
+    while len(parts) > 1:
+        a = parts.pop(rng.randrange(len(parts)))
+        b = parts.pop(rng.randrange(len(parts)))
+        parts.append(Or(a, b) if rng.random() < 0.7 else Not(Or(a, b)))
+    top = parts[0]
+    if rng.random() < 0.5:
+        # A tautology over the same atoms: A | ~A, with A built twice.
+        return Or(top, Not(_rebuilt(top)))
+    return Not(top) if rng.random() < 0.3 else top
+
+
+def _rebuilt(f):
+    return type(f)(*(
+        v if isinstance(v, str) else _rebuilt(v)
+        for v in (getattr(f, name) for name in f.__match_args__)
+    ))
+
+
+def test_tautology_check_agrees_with_the_row_oracle():
+    rng = random.Random(21)
+    verdicts = {True: 0, False: 0}
+    for case in range(160):
+        k = case % 16 + 1
+        f = _random_skeleton(rng, k)
+        want, atoms = _row_oracle(f)
+        assert len(atoms) == k and _skeleton_atoms(f) == atoms
+        assert is_tautology_instance(f) == want, f
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 40
+
+
+def test_skeleton_cap_names_the_atom_count():
+    atoms = [Supports(R, Letter(f"p{i}")) for i in range(17)]
+    assert is_tautology_instance(disj(*atoms[:16], Not(atoms[0])))
+    with pytest.raises(SkeletonTooLarge) as caught:
+        is_tautology_instance(disj(*atoms, Not(atoms[0])))
+    assert str(caught.value) == (
+        "propositional skeleton has 17 atoms (cap 16); split the step into smaller pieces"
+    )
+
+
+def _rules(cfg):
+    return {"MP", "RN", "E"} | ({"Gen"} if cfg.quantified else set())
+
+
+def _old_extends(a, b):
+    """``a.extends(b)`` as it read while configurations listed their rules."""
+    return (
+        b.schemes <= a.schemes
+        and _rules(b) <= _rules(a)
+        and b.app == a.app
+        and set(b.reasons) <= set(a.reasons)
+        and set(b.letters) <= set(a.letters)
+    )
+
+
+def test_extends_agrees_with_the_rule_listing_definition():
+    cfgs = [
+        TheoryConfig.from_name(name, reasons, letters)
+        for name in ("RBB", "RBBs", "RBBs+", "QRBB", "QRBBs", "QRBBs+", "RBB+App")
+        for reasons in (("r",), ("r", "s"))
+        for letters in (("p",), ("p", "q"))
+    ]
+    verdicts = [a.extends(b) for a in cfgs for b in cfgs]
+    assert len(verdicts) == 784
+    assert verdicts == [_old_extends(a, b) for a in cfgs for b in cfgs]
+    assert 0 < sum(verdicts) < 784
 
 
 # -- scheme matching --------------------------------------------------------
