@@ -10,7 +10,8 @@ exit codes are part of the contract and scripts may rely on them:
     2  malformed input: unparsable formula, bad file, unknown name,
        or a formula nested too deeply to traverse; also any other
        exception, reported as "error: internal error: <Type>: <message>",
-       so that an uncaught exception never exits 1
+       so that an uncaught exception never exits 1; also a closed
+       standard output, reported as "error: standard output closed"
     3  bounded search exhausted without a witness
     4  search budget exceeded.  ``rbb scenario`` exits 4 when its
        consistency search or any attack ran out of budget, and otherwise
@@ -420,7 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to the null device, so that the flush
+        # at exit does not fail again and print "Exception ignored".
+        try:
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        except (AttributeError, OSError, ValueError):
+            pass  # a stream with no file descriptor keeps nothing for the exit
+        print("error: standard output closed", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -79,10 +79,11 @@ So one memo per world count decides it once per class: its position, the
 point's vector and the other worlds' vectors, sorted.  Whether a prefix
 has a completion also reads the letters of later reasons' own conjuncts,
 so a memo per valuation answers it once per orbit: the class with each
-world's active-letter bits next to its vector.  With no adequacy
-atom in Supports and an empty base family (no sigma, no positive point
-belief literal), a point row is its one key; own conjuncts that read no
-diagonal beyond the point are checked once per point row anyway.
+world's active-letter bits next to its vector.  With no adequacy atom
+in Supports and an empty base family (no sigma, no positive point belief
+literal), a point row is its one key.  A reason's own conjuncts that read
+no diagonal beyond the point are decided for all its point rows in one
+evaluation over the 2^n rows, as (CL) is over a truth table.
 
 The base family of world i is the least family its menu can hold: the
 (rb)-closure of the forced sigma seed and, at the point, of the sets the
@@ -353,6 +354,7 @@ class _Schedule:
     prune: bool
     valuation: list[Formula] = field(default_factory=list)
     reasons: dict[str, list[Formula]] = field(default_factory=dict)
+    atoms: dict[str, set[Formula]] = field(default_factory=dict)  # the Supports in ``reasons``
     relations: dict[int, list[Formula]] = field(default_factory=dict)
     point: list[tuple[Formula, bool]] = field(default_factory=list)
     staged: list[Formula] = field(default_factory=list)
@@ -430,6 +432,8 @@ def _schedule(
             out.point.append((literal.sub, literal is g))
         else:
             out.staged.append(g)
+    own = out.reasons.items()
+    out.atoms = {k: {f for g in v for f in subformulas(g) if type(f) is Supports} for k, v in own}
     return out
 
 
@@ -492,6 +496,17 @@ def _base_fault(
 def _subset_families(n: int) -> list[int]:
     """Entry x is the family, over n worlds, of the subsets of x."""
     return [sum(1 << r for r in range(1 << n) if not r & ~x) for x in range(1 << n)]
+
+
+def _own_rows(schedule: _Schedule, name: str, plain: _Ctx) -> int:
+    """The family of point rows with which reason ``name``'s own conjuncts,
+    nesting no adequacy atom, hold at the point of ``plain``.  Table world x
+    is the point with point row x; with no quantifier, cfg is never read."""
+    n, full, down = plain.n, (1 << (1 << plain.n)) - 1, _subset_families(plain.n)
+    point = {p: full * (mask & 1) for p, mask in plain.letters.items()}
+    table = _Ctx(None, 1 << n, point, {}, {name: superset_family(1, n)}, ())
+    table.memo.update((f, down[plain.extension(f.sub)]) for f in schedule.atoms[name])
+    return functools.reduce(int.__and__, map(table.extension, schedule.reasons[name]), full)
 
 
 def _row_filter(
@@ -616,7 +631,6 @@ def iter_candidates(
 
     for n in range(1, bounds.max_worlds + 1):
         up = [superset_family(row, n) for row in range(1 << n)]
-        unfixed = (0,) * n
         verdicts: dict[tuple[int, ...], bool] = {}
         letter_space = range(1 << len(active_letters))
         for point_val in letter_space:
@@ -626,10 +640,6 @@ def iter_candidates(
                     for j, name in enumerate(active_letters):
                         if mask >> j & 1:
                             letters[name] |= 1 << i
-                if schedule.valuation:
-                    stage0 = _Ctx(cfg, n, letters, {}, {}, unfixed)
-                    if not all(stage0.extension(g) & 1 for g in schedule.valuation):
-                        continue
                 walk = _relation_walk(
                     cfg, n, letters, active_reasons, schedule, keyed, up, tick, verdicts
                 )
@@ -650,7 +660,7 @@ def _relation_walk(
     tick: Callable[[str], None],
     verdicts: dict[tuple[int, ...], bool],
 ) -> Iterator[_Ctx]:
-    """The relation assignments that pass the relation stage, in order.
+    """The relation assignments that pass the valuation and relation stages, in order.
 
     See the module docstring for the walk.  When ``keyed``, ``menus[k]``
     holds reason k's keys that pass its own conjuncts, and ``ok(prefix,
@@ -686,9 +696,10 @@ def _relation_walk(
         return holds(dict(zip(active, shapes)), goals, k == m and schedule.prune)
 
     own = [schedule.reasons.get(name, []) for name in active]
-    allowed = _row_filter(schedule, active, _Ctx(cfg, n, letters, {}, {}, unfixed))
-    if not passes([], []):
+    plain = _Ctx(cfg, n, letters, {}, {}, unfixed)  # the valuation stage's context
+    if not all(plain.extension(g) & 1 for g in schedule.valuation) or not passes([], []):
         return
+    allowed = _row_filter(schedule, active, plain)
     if keyed:
         walked = itertools.chain(*own, *schedule.relations.values())
         by_row = not (cfg.sigma or any(believed for _, believed in schedule.point))
@@ -699,10 +710,13 @@ def _relation_walk(
         def menu(name: str, goals: list[Formula]) -> list[tuple[int, int]]:
             if any(_nests(g, Adequate) for g in goals):
                 return [key for key in keys if holds({name: _shape(n, key)}, goals)]
-            rows = {r for r in range(1 << n) if holds({name: _shape(n, (r, r & 1))}, goals)}
-            return [key for key in keys if key[0] in rows]
+            # All 2^n point rows in one evaluation, as (CL) is over a truth table.
+            for _ in range(1 << n):
+                tick(RELATION)  # a step per row, as when each was decided alone
+            rows = _own_rows(schedule, name, plain)
+            return [key for key in keys if rows >> key[0] & 1]
 
-        menus = [menu(name, goals) for name, goals in zip(active, own)]
+        menus = [menu(name, goals) if goals else keys for name, goals in zip(active, own)]
         if not all(menus):
             return
         index = [{key: i for i, key in enumerate(menu)} for menu in menus]

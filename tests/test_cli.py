@@ -6,6 +6,7 @@ variable the CLI reads is injected with monkeypatch.
 """
 
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -114,6 +115,7 @@ def test_check_proof_bad_file(capsys, tmp_path):
     assert code == EXIT_BAD_INPUT and err.startswith("error:")
     code, _, err = run(capsys, "check-proof", str(tmp_path / "missing.json"))
     assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_eval(capsys, tmp_path):
@@ -384,6 +386,42 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert code == EXIT_BAD_INPUT
     assert out == ""
     assert err == "error: internal error: AttributeError: no such thing\n"
+
+
+class ClosedStdout(io.StringIO):
+    """A standard output whose reader has gone, as after ``| head -c 0``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_not_malformed_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    code = main(["scenario", "Barn", "--witnesses", "1", "--bounds", "worlds=2"])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: standard output closed\n"
+
+
+def test_closed_pipe_exits_without_a_traceback():
+    # The pipe's reader is closed before the command starts, so the first
+    # write fails; what is still buffered must not fail again at exit.
+    src = str(pathlib.Path(rbb.__file__).resolve().parents[1])
+    script = "import sys; from rbb.cli import main; sys.exit(main(sys.argv[1:]))"
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "parse", "p"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=writer,
+            stderr=subprocess.PIPE,
+            text=True,
+            check=False,
+        )
+    finally:
+        os.close(writer)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stderr == "error: standard output closed\n"
 
 
 def test_find_model_round_trip(capsys, tmp_path):

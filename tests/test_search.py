@@ -16,7 +16,9 @@ from rbb.search import (
     _class_key,
     _conjuncts,
     _letter_vectors,
+    _nests,
     _orbit_key,
+    _own_rows,
     _point_sets,
     _row_filter,
     _schedule,
@@ -960,3 +962,71 @@ def test_completions_agree_within_an_orbit():
         shared += sum(len(v) > 1 for v in answers.values())
         split += sum(len(v) > 1 for v in classes.values())
     assert shared > 100 and split > 0, (shared, split)
+
+
+# Own conjuncts of one reason each: letters at the point, the reason's
+# adequacy at the point, and Supports atoms over letters.  r:(r | p) nests
+# an adequacy atom, so r's keys are then decided one by one.  RBBs+ takes
+# sigma for r.
+OWN_PIECES = (
+    "r:p", "~r:q", "r:(p | ~q)", "r | r:p", "~r | ~r:(p & q)", "p | ~r:q",
+    "~q | r", "r:(p -> q) -> r:p -> r:q", "r:(r | p)",
+)
+SIGMA_OWN_PIECES = ("sigma:p", "~sigma:(p | q)", "sigma | sigma:q", "~sigma | ~p")
+S_OWN_PIECES = ("s:q", "s | ~s:(p | q)", "~p | s:p")
+# The name p is a reason and a letter; text resolves p to the reason, so
+# the letter is built directly.
+SHARED = TheoryConfig.from_name("RBB", ("r", "p"), ("p", "q"), allow_overlap=True)
+SHARED_PIECES = (
+    Or(Letter("p"), parse("p:q", SHARED)),
+    Supports(atom_term("p"), Or(Letter("p"), Not(Letter("q")))),
+    Or(Not(parse("p", SHARED)), Supports(atom_term("p"), Not(Letter("p")))),
+    Or(Not(Letter("p")), parse("~p:q", SHARED)),
+    parse("r:q | q", SHARED),
+)
+
+
+def test_own_conjuncts_are_decided_in_one_evaluation():
+    # The walk decides a reason's own conjuncts for every point row at
+    # once, on a table whose world x is the point with point row x.  Its
+    # rows must be exactly the point rows of the keys that pass on their
+    # own stand-in shapes, whatever the diagonal off the point.
+    rng = random.Random(17)
+    cfgs = (
+        TheoryConfig.from_name("RBB", ("r", "s"), ("p", "q")),
+        TheoryConfig.from_name("RBBs", ("r",), ("p", "q")),
+        TheoryConfig.from_name("RBBs+", (), ("p", "q")),
+        SHARED,
+    )
+    sets = partial = nested = 0
+    while sets < 80:
+        cfg = cfgs[sets % 4]
+        if cfg is SHARED:
+            pieces = rng.sample(SHARED_PIECES, rng.randint(1, 3))
+        else:
+            extra = SIGMA_OWN_PIECES if cfg.sigma else S_OWN_PIECES
+            texts = rng.sample(OWN_PIECES + extra, rng.randint(1, 3))
+            if cfg.sigma_plus:
+                texts = [t.replace("r", "sigma") for t in texts]
+            pieces = [parse(t, cfg) for t in texts]
+        goals = {c for f in pieces for c in _conjuncts(f if rng.random() < 0.8 else Not(f))}
+        schedule = _schedule(tuple(sorted(goals, key=print_formula)), cfg.reasons, cfg)
+        if schedule is None or not schedule.reasons:
+            continue
+        sets += 1
+        for n in range(1, 5):
+            for _ in range(3):
+                letters = {p: rng.randrange(1 << n) for p in cfg.letters}
+                plain = _Ctx(cfg, n, letters, {}, {}, (0,) * n)
+                oracle = _own_menus(cfg, n, letters, schedule)
+                for name, want in zip(cfg.reasons, oracle):
+                    own = schedule.reasons.get(name, [])
+                    if not own or any(_nests(g, Adequate) for g in own):
+                        nested += bool(own)
+                        continue
+                    rows = _own_rows(schedule, name, plain)
+                    keys = itertools.product(range(1 << n), range(0, 1 << n, 2))
+                    got = [(row, d | row & 1) for row, d in keys if rows >> row & 1]
+                    assert got == want, (name, n, letters, goals)
+                    partial += 0 < len(want) < 1 << 2 * n - 1
+    assert partial > 400 and nested > 20, (partial, nested)
