@@ -17,9 +17,9 @@ exit codes are part of the contract and scripts may rely on them:
        consistency search or any attack ran out of budget, and otherwise
        as its consistency search does
 
-The default search budget is 60 seconds.  The RBB_BUDGET_SECS environment
-variable overrides it, and an explicit ``--bounds budget=...`` wins over
-both.
+The default search budget is 60 seconds.  RBB_BUDGET_SECS overrides it and
+``--bounds budget=...`` wins over both; either lifts the cap with ``none``
+or ``0``.
 """
 
 from __future__ import annotations
@@ -114,11 +114,14 @@ def _number(convert: type, text: str, what: str):
         raise ValueError(f"{what} needs {kind}, got {text!r}") from None
 
 
+def _budget(value: str, what: str) -> float | None:
+    """Seconds, or None for ``none`` and ``0``, which lift the cap."""
+    return None if value in ("none", "0") else _number(float, value, what)
+
+
 def _bounds(args: argparse.Namespace) -> SearchBounds:
     """Fold ``--bounds KEY=VALUE`` clauses over the defaults."""
-    worlds, seeds = 3, 4
-    budget: float | None = DEFAULT_BUDGET_SECS
-    budget_given = False
+    given: dict = {}
     for clause in args.bounds or ():
         for piece in clause.split(","):
             key, eq, value = piece.partition("=")
@@ -126,21 +129,20 @@ def _bounds(args: argparse.Namespace) -> SearchBounds:
             if not eq:
                 raise ValueError(f"bounds take KEY=VALUE, got {piece!r}")
             what = f"bound {key!r}"
-            if key == "worlds":
-                worlds = _number(int, value, what)
-            elif key == "seeds":
-                seeds = _number(int, value, what)
+            if key in ("worlds", "seeds"):
+                given[f"max_{key}"] = _number(int, value, what)
             elif key == "budget":
-                budget = None if value in ("none", "0") else _number(float, value, what)
-                budget_given = True
+                given["budget_secs"] = _budget(value, what)
             else:
                 raise ValueError(
                     f"unknown bound {key!r}; expected worlds, seeds, or budget"
                 )
-    env = os.environ.get("RBB_BUDGET_SECS")
-    if env is not None and not budget_given:
-        budget = _number(float, env, "RBB_BUDGET_SECS")
-    return SearchBounds(max_worlds=worlds, max_seeds=seeds, budget_secs=budget)
+    if "budget_secs" not in given:
+        env = os.environ.get("RBB_BUDGET_SECS")
+        given["budget_secs"] = (
+            DEFAULT_BUDGET_SECS if env is None else _budget(env, "RBB_BUDGET_SECS")
+        )
+    return SearchBounds(**given)
 
 
 def _load_json(path: str) -> dict:
@@ -316,39 +318,23 @@ def _cmd_library(args: argparse.Namespace) -> int:
         print(f"library fixture failed: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     # derived_library() checks every proof and raises on the first rejection.
-    rows = []
-    for name in sorted(lib):
-        thm = lib[name]
-        rows.append(
-            (
-                name,
-                thm.proof.theory.name,
-                len(thm.proof.steps),
-                print_formula(thm.proof.goal),
-            )
-        )
+    rows = [
+        {
+            "name": name,
+            "theory": thm.proof.theory.name,
+            "steps": len(thm.proof.steps),
+            "goal": print_formula(thm.proof.goal),
+            "accepted": True,
+        }
+        for name, thm in sorted(lib.items())
+    ]
     if args.format == "json":
-        _emit_json(
-            {
-                "theorems": [
-                    {
-                        "name": name,
-                        "theory": theory,
-                        "steps": steps,
-                        "goal": goal,
-                        "accepted": True,
-                    }
-                    for name, theory, steps, goal in rows
-                ],
-                "accepted": len(rows),
-                "total": len(rows),
-            }
-        )
+        _emit_json({"theorems": rows, "accepted": len(rows), "total": len(rows)})
     else:
-        name_w = max(len(row[0]) for row in rows)
-        theory_w = max(len(row[1]) for row in rows)
-        for name, theory, steps, goal in rows:
-            print(f"{name:<{name_w}}  {theory:<{theory_w}}  {steps:>3}  pass  {goal}")
+        widths = [max(len(row[key]) for row in rows) for key in ("name", "theory")]
+        line = "{name:<{0}}  {theory:<{1}}  {steps:>3}  pass  {goal}"
+        for row in rows:
+            print(line.format(*widths, **row))
         print(f"{len(rows)}/{len(rows)} accepted")
     return EXIT_OK
 

@@ -76,6 +76,8 @@ def jtb_i_r(reason: AtomicReason | str, formula: Formula) -> Formula:
 
 
 def _fresh(formula: Formula, cfg: TheoryConfig, second: bool = False) -> str:
+    if not cfg.quantified:
+        raise ValueError("quantified JTB forms need a quantified theory")
     free = free_reasons(formula)
     candidates = [
         name for name in cfg.reasons if name != SIGMA_NAME and name not in free
@@ -89,19 +91,12 @@ def _fresh(formula: Formula, cfg: TheoryConfig, second: bool = False) -> str:
     return candidates[0]
 
 
-def _require_quantified(cfg: TheoryConfig) -> None:
-    if not cfg.quantified:
-        raise ValueError("quantified JTB forms need a quantified theory")
-
-
 def jtb_e(formula: Formula, cfg: TheoryConfig) -> Formula:
-    _require_quantified(cfg)
     var = _fresh(formula, cfg)
     return exists(var, jtb_e_r(var, formula))
 
 
 def jtb_i(formula: Formula, cfg: TheoryConfig) -> Formula:
-    _require_quantified(cfg)
     var = _fresh(formula, cfg)
     return exists(var, jtb_i_r(var, formula))
 
@@ -112,7 +107,6 @@ def nil(formula: Formula, cfg: TheoryConfig) -> Formula:
     The binder prefers the second fresh symbol so that the printed form
     reads with a different letter than the existential builders use.
     """
-    _require_quantified(cfg)
     var = _fresh(formula, cfg, second=True)
     return ForAll(var, impl(jtb_i_r(var, formula), Adequate(atom_term(var))))
 
@@ -364,7 +358,7 @@ def scenario_to_doc(sc: Scenario) -> dict:
     return {
         "name": sc.name,
         "theory": sc.theory.to_doc(),
-        "assumptions": sorted(print_formula(f) for f in sc.assumptions),
+        "assumptions": [print_formula(f) for f in sc.sorted_assumptions()],
         "queries": [[label, print_formula(f)] for label, f in sc.focus],
     }
 
@@ -399,7 +393,7 @@ def report_to_doc(report: ScenarioReport) -> dict:
 def report_to_text(report: ScenarioReport) -> str:
     sc = report.scenario
     lines = [f"scenario {sc.name} over {sc.theory.name}"]
-    for formula in sorted(sc.assumptions, key=print_formula):
+    for formula in sc.sorted_assumptions():
         lines.append(f"  assume {print_formula(formula)}")
     kind = type(report.consistency).__name__
     lines.append(

@@ -18,6 +18,8 @@ re-instantiates the closure template at caller-supplied formulas.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .proof import (
     Axiom,
     FixtureCorrupt,
@@ -131,26 +133,17 @@ _BS = Believes(Adequate(_S))
 _BSIG = Believes(Adequate(SIGMA))
 
 
-def _rc() -> Proof:
+def _consistency(name: str, other: Reason, believed: Formula) -> Proof:
+    """RC and IC: ``believed -> (r:p -> ~other:~p)`` from (RB) for r:p and
+    for other:~p, then (D)."""
     rp = Supports(_R, _P)
-    snp = Supports(_S, Not(_P))
+    onp = Supports(other, Not(_P))
     b = _Builder(_BASE)
     a1 = b.axiom(SchemeId.RB, impl(rp, impl(_BR, Believes(_P))))
-    a2 = b.axiom(SchemeId.RB, impl(snp, impl(_BS, Believes(Not(_P)))))
+    a2 = b.axiom(SchemeId.RB, impl(onp, impl(Believes(Adequate(other)), Believes(Not(_P)))))
     a3 = b.axiom(SchemeId.D, impl(Believes(_P), Not(Believes(Not(_P)))))
-    b.chain(impl(conj(_BR, _BS), impl(rp, Not(snp))), a1, a2, a3)
-    return b.build("RC")
-
-
-def _ic() -> Proof:
-    rp = Supports(_R, _P)
-    rnp = Supports(_R, Not(_P))
-    b = _Builder(_BASE)
-    a1 = b.axiom(SchemeId.RB, impl(rp, impl(_BR, Believes(_P))))
-    a2 = b.axiom(SchemeId.RB, impl(rnp, impl(_BR, Believes(Not(_P)))))
-    a3 = b.axiom(SchemeId.D, impl(Believes(_P), Not(Believes(Not(_P)))))
-    b.chain(impl(_BR, impl(rp, Not(rnp))), a1, a2, a3)
-    return b.build("IC")
+    b.chain(impl(believed, impl(rp, Not(onp))), a1, a2, a3)
+    return b.build(name)
 
 
 def _aic() -> Proof:
@@ -302,8 +295,8 @@ def _exists_intro() -> Proof:
 
 def _fixtures() -> tuple[Proof, ...]:
     return (
-        _rc(),
-        _ic(),
+        _consistency("RC", _S, conj(_BR, _BS)),
+        _consistency("IC", _R, _BR),
         _aic(),
         closure_rule_instance(_BASE, _R, _P, Or(_P, _Q), name="RCLC-disj"),
         closure_rule_instance(_BASE, _R, conj(_P, _Q), _P, name="RCLC-proj"),
@@ -319,9 +312,6 @@ def _fixtures() -> tuple[Proof, ...]:
     )
 
 
-_CACHE: dict[str, Theorem] | None = None
-
-
 def derived_library() -> dict[str, Theorem]:
     """All bundled theorems, each checked at first load.
 
@@ -329,15 +319,17 @@ def derived_library() -> dict[str, Theorem]:
     Raises :class:`FixtureCorrupt` if any bundled derivation fails its own
     check, which would mean the package is miswired, not the caller.
     """
-    global _CACHE
-    if _CACHE is None:
-        table: dict[str, Theorem] = {}
-        for proof in _fixtures():
-            verdict = check_proof(proof, table)
-            if not verdict.accepted:
-                raise FixtureCorrupt(
-                    f"{proof.name}: step {verdict.step}: {verdict.diagnostic}"
-                )
-            table[proof.name] = Theorem(proof, verdict)
-        _CACHE = table
-    return dict(_CACHE)
+    return dict(_checked())
+
+
+@cache
+def _checked() -> dict[str, Theorem]:
+    table: dict[str, Theorem] = {}
+    for proof in _fixtures():
+        verdict = check_proof(proof, table)
+        if not verdict.accepted:
+            raise FixtureCorrupt(
+                f"{proof.name}: step {verdict.step}: {verdict.diagnostic}"
+            )
+        table[proof.name] = Theorem(proof, verdict)
+    return table

@@ -942,5 +942,4 @@ def check_nonvalidity(
     bounds: SearchBounds | None = None,
 ) -> SearchOutcome:
     """Search for a pointed countermodel; a witness certifies non-theoremhood."""
-    ensure_in_language(formula, cfg)
     return find_model((Not(formula),), cfg, bounds)

@@ -37,6 +37,7 @@ rows before the walk.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -82,19 +83,16 @@ class AppSemanticsUndefined(Exception):
     """Model evaluation was requested for the App variant, which has none."""
 
 
-def _sorted_pairs(pairs: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(pairs))
-
-
 @dataclass(frozen=True, eq=False)
 class Model:
     """Immutable finite model; prefer :func:`make_model` over direct construction.
 
-    Equality and hashing go through a canonical key, so two models built
-    from differently-ordered inputs compare equal when they describe the
-    same structure.  A model caches that key and its bitmask encoding the
-    first time they are needed, so mutating its mappings after construction
-    is unsupported: the caches would go on describing the old structure.
+    Equality and hashing go through the wire document of
+    :func:`model_to_doc`, so two models are equal exactly when their
+    documents are, however their inputs were ordered.  A model caches that
+    key and its bitmask encoding the first time they are needed, so mutating
+    its mappings after construction is unsupported: the caches would go on
+    describing the old structure.
     """
 
     worlds: tuple[str, ...]
@@ -103,18 +101,8 @@ class Model:
     valuation: Mapping[str, frozenset[str]]
 
     @cached_property
-    def _key(self) -> tuple:
-        return (
-            self.worlds,
-            tuple(sorted((r, _sorted_pairs(ps)) for r, ps in self.access.items())),
-            tuple(
-                sorted(
-                    (w, tuple(sorted(tuple(sorted(x)) for x in fam)))
-                    for w, fam in self.neighborhoods.items()
-                )
-            ),
-            tuple(sorted((w, tuple(sorted(v))) for w, v in self.valuation.items())),
-        )
+    def _key(self) -> str:
+        return json.dumps(model_to_doc(self), sort_keys=True)
 
     @cached_property
     def _masks(self) -> tuple:
@@ -594,7 +582,7 @@ def model_to_doc(model: Model, point: str | None = None) -> dict:
     doc: dict = {
         "worlds": list(model.worlds),
         "access": {
-            r: [list(p) for p in _sorted_pairs(ps)]
+            r: [list(p) for p in sorted(ps)]
             for r, ps in sorted(model.access.items())
         },
         "neighborhoods": {

@@ -480,6 +480,13 @@ def test_budget_env_override(capsys, monkeypatch):
     assert err == "error: RBB_BUDGET_SECS needs a number, got 'x'\n"
     code, _, _ = run(capsys, "find-model", "p", "--bounds", "budget=1")
     assert code == EXIT_OK
+    # The variable reads its value as the budget bound does: none and 0 lift
+    # the cap.
+    for value in ("none", "0"):
+        monkeypatch.setenv("RBB_BUDGET_SECS", value)
+        code, out, err = run(capsys, "nonvalid", "--bounds", "worlds=1", "B p -> p")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("not valid: countermodel found")
 
 
 def test_bounds_parsing(capsys):
@@ -564,7 +571,7 @@ def test_library_with_a_corrupt_fixture_exits_1(capsys, monkeypatch):
     p = rbb.Letter("p")
     broken = rbb.Proof(cfg, "Broken", p, (rbb.ProofStep(1, p, rbb.Axiom(rbb.SchemeId.CL)),))
     monkeypatch.setattr(rbb.library, "_fixtures", lambda: (broken,))
-    monkeypatch.setattr(rbb.library, "_CACHE", None)
+    rbb.library._checked.cache_clear()
     code, out, err = run(capsys, "library")
     assert code == EXIT_REJECTED and out == ""
     assert err == "library fixture failed: Broken: step 1: not an instance of (CL)\n"
@@ -660,3 +667,13 @@ def test_nan_budget_is_bad_input(capsys, monkeypatch):
     assert code == EXIT_BAD_INPUT and "budget" in err
     code, _, _ = run(capsys, *argv, "--bounds", "budget=1")
     assert code == EXIT_OK
+
+
+def test_a_formula_nested_too_deeply_is_bad_input(capsys):
+    # Parsing is iterative, but printing and the search recurse, so a long
+    # conjunction ends in RecursionError, which main reports as malformed
+    # input.  ROADMAP item 5 will change this on purpose.
+    deep = " & ".join(["p"] * 5000)
+    for command in ("parse", "nonvalid"):
+        code, out, err = run(capsys, command, deep)
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: formula nested too deeply\n")

@@ -106,6 +106,20 @@ def test_parse_error_carries_a_span():
     assert "x" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,message,span",
+    [
+        ("A sigma. p", "sigma cannot be bound", SourceSpan(2, 7)),
+        ("(p):q", "expected a reason term before ':' or '*'", SourceSpan(0, 1)),
+    ],
+)
+def test_parse_error_message_and_span(text, message, span):
+    with pytest.raises(ParseError) as err:
+        parse(text, CFG)
+    assert (err.value.message, err.value.span) == (message, span)
+    assert str(err.value) == f"{message} (at {span.start}..{span.end})"
+
+
 def test_print_reason_on_atoms():
     assert print_reason(R) == "r"
     assert print_reason(SIGMA) == "sigma"

@@ -116,6 +116,17 @@ def test_outcome_docs():
     assert "128" in outcome_to_doc(b)["progress"]
 
 
+def test_seed_bound_holds_at_the_point():
+    # N(w0) must hold ext(p); with no seed allowed the point's family menu
+    # is empty, and each relation assignment ends before the other worlds.
+    goals = [parse("B p", RBB)]
+    out = find_model(goals, RBB, SearchBounds(max_seeds=0))
+    assert out == Exhausted(SearchBounds(max_seeds=0))
+    out = find_model(goals, RBB, SearchBounds(max_seeds=1))
+    assert isinstance(out, Witness)
+    assert satisfies(out.model, out.world, goals[0], RBB)
+
+
 def test_contradiction_exhausts():
     out = find_model([parse("p & ~p", RBB)], RBB, W2)
     assert isinstance(out, Exhausted)
