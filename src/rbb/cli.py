@@ -25,6 +25,7 @@ or ``0``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -339,7 +340,11 @@ def _cmd_library(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rbb`` parser, built on the first call and shared after it.
+
+    A subcommand's handler is ``_cmd_<name>``, looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="rbb",
         description="Proof checking, model evaluation, and bounded model "
@@ -347,9 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help_text, fmt="text", theory=False, bounds=False):
+    def command(name, help_text, fmt="text", theory=False, bounds=False):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(handler=handler)
         cmd.add_argument(
             "--format", choices=("text", "json"), default=fmt,
             help=f"output format (default {fmt})",
@@ -375,31 +379,31 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return cmd
 
-    cmd = command("parse", _cmd_parse, "parse a formula and print its canonical form", theory=True)
+    cmd = command("parse", "parse a formula and print its canonical form", theory=True)
     cmd.add_argument("formula")
 
-    cmd = command("check-proof", _cmd_check_proof, "check a proof document")
+    cmd = command("check-proof", "check a proof document")
     cmd.add_argument("proof", help="path to a proof JSON file")
 
-    cmd = command("eval", _cmd_eval, "evaluate a formula on a model", theory=True)
+    cmd = command("eval", "evaluate a formula on a model", theory=True)
     cmd.add_argument("--model", required=True, help="path to a model JSON file")
     cmd.add_argument("--at", metavar="WORLD", help="world to evaluate at (default: the model's point)")
     cmd.add_argument("formula")
 
-    cmd = command("validate-model", _cmd_validate_model, "check a model's frame properties", theory=True)
+    cmd = command("validate-model", "check a model's frame properties", theory=True)
     cmd.add_argument("model", help="path to a model JSON file")
 
-    cmd = command("find-model", _cmd_find_model, "search for a model of the goals", theory=True, bounds=True)
+    cmd = command("find-model", "search for a model of the goals", theory=True, bounds=True)
     cmd.add_argument("goals", nargs="+", metavar="FORMULA")
 
-    cmd = command("nonvalid", _cmd_nonvalid, "search for a countermodel to a formula", theory=True, bounds=True)
+    cmd = command("nonvalid", "search for a countermodel to a formula", theory=True, bounds=True)
     cmd.add_argument("formula")
 
-    cmd = command("scenario", _cmd_scenario, "analyze a built-in scenario", fmt="json", bounds=True)
+    cmd = command("scenario", "analyze a built-in scenario", fmt="json", bounds=True)
     cmd.add_argument("name", choices=SCENARIO_NAMES)
     cmd.add_argument("--witnesses", type=int, default=4, metavar="N", help="witness cap per scenario (default 4)")
 
-    cmd = command("library", _cmd_library, "check every library derivation and print a table")
+    cmd = command("library", "check every library derivation and print a table")
 
     return parser
 
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        code = globals()["_cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -42,11 +42,14 @@ Every goal holds at the point, so `_schedule` first propagates its
 literals (letters, adequacy atoms, ``t:phi``, ``B phi``, equations, and
 their negations), as unit propagation does.  Each other conjunct gets
 their values, and ground equations theirs, where they occur outside
-Supports, Believes and quantifiers, and is simplified: dropped when true,
-split again when changed, until nothing changes.  Opposite literals or a
-false conjunct end the search at once.  This is exact, so the candidates
-and their order do not change; the analyses that shape the space still
-read the original goals.
+Supports and Believes, and is simplified: dropped when true, split again
+when changed, until nothing changes.  A quantifier folds wherever a
+literal does, as the conjunction of its instances: false when one of them
+folds to false, true when all fold to true.  Opposite literals or a false
+conjunct end the search at once.  This is exact, so the candidates and
+their order do not change; the analyses that shape the space still read
+the original goals.  What the later stages read of the schedule is worked
+out once per search, not per valuation.
 
 * valuation: conjuncts without Supports, adequacy atoms or Believes;
 * reason k's shapes: Believes-free conjuncts with the one free reason k,
@@ -121,6 +124,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -170,8 +174,9 @@ class SearchBounds:
             raise ValueError(f"max_worlds must be in 1..{MAX_WORLDS_CAP}")
         if not 0 <= self.max_seeds <= MAX_SEEDS_CAP:
             raise ValueError(f"max_seeds must be in 0..{MAX_SEEDS_CAP}")
-        if self.budget_secs is not None and not self.budget_secs > 0:  # NaN too
-            raise ValueError("budget_secs must be a positive number when given")
+        # NaN and infinity too: no clock is ever past either, and JSON has neither.
+        if self.budget_secs is not None and not 0 < self.budget_secs < math.inf:
+            raise ValueError("budget_secs must be a positive finite number when given")
 
 
 @dataclass(frozen=True)
@@ -348,33 +353,60 @@ class _Schedule:
     reasons fixed, to the conjuncts whose reasons are all fixed there;
     ``point`` holds (phi, believed) for each belief literal.  The unpruned
     walk gets the empty schedule with ``prune`` off, which keeps
-    frame-faulty families too.
+    frame-faulty families too.  `settle` derives the rest once per search.
     """
 
     prune: bool
     valuation: list[Formula] = field(default_factory=list)
     reasons: dict[str, list[Formula]] = field(default_factory=dict)
-    atoms: dict[str, set[Formula]] = field(default_factory=dict)  # the Supports in ``reasons``
     relations: dict[int, list[Formula]] = field(default_factory=dict)
     point: list[tuple[Formula, bool]] = field(default_factory=list)
     staged: list[Formula] = field(default_factory=list)
+    atoms: dict[str, set[Formula]] = field(default_factory=dict)  # the Supports in ``reasons``
+    nested: set[str] = field(default_factory=set)  # reasons whose own conjuncts nest an adequacy atom
+    by_row: bool = False  # a keyed walk's point row is its one key
+    read: list[str] = field(default_factory=list)  # the letters of `_letter_vectors`
+    forced: set[str] = field(default_factory=set)  # the reasons `_row_filter` filters
+    fixed: list[Formula] = field(default_factory=list)  # the sets (rb) bars them from
+
+    def settle(self, cfg: TheoryConfig) -> _Schedule:
+        """Work out what the walk reads of the stages, once per search."""
+        own, walked, point = self.reasons.items(), [*itertools.chain(*self.relations.values())], self.point
+        self.atoms = {k: {f for g in v for f in subformulas(g) if type(f) is Supports} for k, v in own}
+        self.nested = {k for k, v in own if any(_nests(g, Adequate) for g in v)}
+        self.by_row = not (cfg.sigma or self.nested or any(held for _, held in point))
+        self.by_row = self.by_row and not any(_nests(g, Adequate) for g in walked)
+        shared = set(cfg.letters) & set(cfg.reasons) if cfg.allow_overlap else set()
+        self.read = sorted(shared.union(*map(formula_letters, [*walked, *(phi for phi, _ in point)])))
+        self.forced = {term_name(phi.reason) for phi, held in point if held and isinstance(phi, Adequate)}
+        self.forced |= {SIGMA_NAME} if cfg.sigma and self.prune else set()  # by (mb)
+        self.fixed = [phi for phi, held in point if not (held or _mentions(phi, (Supports, Adequate)))]
+        return self
 
 
 _ATOMS = (Letter, Adequate, Supports, Believes)
 
 
-def _fold(f: Formula, known: dict[Formula, bool]) -> Formula | bool:
+def _fold(f: Formula, known: dict[Formula, bool], reasons: tuple[str, ...]) -> Formula | bool:
     """``f`` with its top-level atoms in ``known`` and equations replaced by
-    their truth values, simplified; ``f`` itself when nothing changed."""
+    their truth values, simplified; ``f`` itself when nothing changed.  A
+    quantifier is the conjunction of its instances over ``reasons``: false
+    when one folds to false, true when all fold to true, and kept whole
+    otherwise."""
     if isinstance(f, Eq):
         return term_name(f.left) == term_name(f.right)
+    if isinstance(f, ForAll):
+        folded = [_fold(inst, known, reasons) for inst in instances(f, reasons)]
+        if any(value is False for value in folded):
+            return False
+        return all(value is True for value in folded) or f
     if isinstance(f, Not):
-        sub = _fold(f.sub, known)
+        sub = _fold(f.sub, known, reasons)
         if isinstance(sub, bool):
             return not sub
         return f if sub is f.sub else _neg(sub)
     if isinstance(f, Or):
-        left, right = _fold(f.left, known), _fold(f.right, known)
+        left, right = _fold(f.left, known, reasons), _fold(f.right, known, reasons)
         if left is True or right is False:
             return left
         if right is True or left is False:
@@ -406,7 +438,7 @@ def _schedule(
         for g in list(goals):
             if isinstance(g.sub if isinstance(g, Not) else g, _ATOMS):
                 continue
-            folded = _fold(g, known)
+            folded = _fold(g, known, cfg.reasons)
             if folded is False:
                 return None
             if folded is not g:
@@ -432,21 +464,13 @@ def _schedule(
             out.point.append((literal.sub, literal is g))
         else:
             out.staged.append(g)
-    own = out.reasons.items()
-    out.atoms = {k: {f for g in v for f in subformulas(g) if type(f) is Supports} for k, v in own}
-    return out
+    return out.settle(cfg)
 
 
-def _letter_vectors(
-    schedule: _Schedule, cfg: TheoryConfig, letters: dict[str, int], n: int, m: int
-) -> list[int]:
+def _letter_vectors(schedule: _Schedule, letters: dict[str, int], n: int, m: int) -> list[int]:
     """World i's vector before the walk fixes a key: bit 2m + j is the j-th
     letter that the keyed checks read (see the module docstring) at i."""
-    read = set().union(*map(formula_letters, sum(schedule.relations.values(), [])))
-    read.update(*(formula_letters(phi) for phi, _ in schedule.point))
-    if cfg.allow_overlap:
-        read |= set(cfg.letters) & set(cfg.reasons)
-    masks = [letters.get(p, 0) for p in sorted(read)]
+    masks = [letters.get(p, 0) for p in schedule.read]
     return [sum((x >> i & 1) << j for j, x in enumerate(masks)) << 2 * m for i in range(n)]
 
 
@@ -515,12 +539,9 @@ def _row_filter(
     """The point-row filter of the valuation ``plain`` evaluates (module
     docstring): given the point rows fixed so far, the family of rows the
     next active reason may take, -1 (every row) unless it is forced."""
-    down, point = _subset_families(plain.n), schedule.point
-    forced = {term_name(phi.reason) for phi, held in point if held and isinstance(phi, Adequate)}
-    forced |= {SIGMA_NAME} if plain.cfg.sigma and schedule.prune else set()  # by (mb)
-    fixed = [phi for phi, held in point if not (held or _mentions(phi, (Supports, Adequate)))]
+    down, forced = _subset_families(plain.n), schedule.forced
     bar = 0  # (rb): the rows inside a set that N(w0) avoids
-    for phi in fixed if forced else []:
+    for phi in schedule.fixed if forced else []:
         bar |= down[plain.extension(phi)]
 
     def allowed(rows: list[int]) -> int:
@@ -605,7 +626,7 @@ def iter_candidates(
     # row other than the point's.
     keyed = not any(_nests(g, Supports) for g in goal_list)
     point_ready = not any(_nests(g, Believes) for g in goal_list)
-    schedule = _Schedule(False)
+    schedule = _Schedule(False).settle(cfg)
     if prune:
         schedule = _schedule(goal_list, active_reasons, cfg)
         if schedule is None:
@@ -701,14 +722,11 @@ def _relation_walk(
         return
     allowed = _row_filter(schedule, active, plain)
     if keyed:
-        walked = itertools.chain(*own, *schedule.relations.values())
-        by_row = not (cfg.sigma or any(believed for _, believed in schedule.point))
-        by_row = by_row and not any(_nests(g, Adequate) for g in walked)
-        step = 1 << n if by_row else 2
+        step = 1 << n if schedule.by_row else 2
         keys = [(row, d) for row in range(1 << n) for d in range(row & 1, 1 << n, step)]
 
         def menu(name: str, goals: list[Formula]) -> list[tuple[int, int]]:
-            if any(_nests(g, Adequate) for g in goals):
+            if name in schedule.nested:
                 return [key for key in keys if holds({name: _shape(n, key)}, goals)]
             # All 2^n point rows in one evaluation, as (CL) is over a truth table.
             for _ in range(1 << n):
@@ -726,7 +744,7 @@ def _relation_walk(
             menu = menus[k]
             return range(bisect.bisect_left(menu, (row,)), bisect.bisect_left(menu, (row + 1,)))
 
-        start = _letter_vectors(schedule, cfg, letters, n, m)
+        start = _letter_vectors(schedule, letters, n, m)
         tags = [sum((x >> i & 1) << j for j, x in enumerate(letters.values())) for i in range(n)]
         memo = {(): (bytearray(len(menus[0]) if m else 0), start)}
         completions: dict[tuple, bool] = {}
@@ -780,7 +798,7 @@ def _relation_walk(
                 continue
             for shape in _shapes(n, keyed and not cfg.sigma, row):
                 tick(RELATION)
-                key = (row, row & 1 if keyed and by_row else shape[1])
+                key = (row, row & 1 if keyed and schedule.by_row else shape[1])
                 if keyed:
                     i = index[k].get(key)
                     if i is None or not ok(prefix, i):

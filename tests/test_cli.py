@@ -669,6 +669,52 @@ def test_nan_budget_is_bad_input(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+def test_infinite_budget_is_bad_input(capsys, monkeypatch):
+    # No clock is ever past infinity, and JSON has no number to report it.
+    argv = ("nonvalid", "--format", "json", "r:p -> r -> p")
+    for value in ("inf", "1e999"):
+        code, out, err = run(capsys, *argv, "--bounds", f"budget={value}")
+        assert (code, out) == (EXIT_BAD_INPUT, "") and "budget" in err
+        monkeypatch.setenv("RBB_BUDGET_SECS", value)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_BAD_INPUT, "") and "budget" in err
+        monkeypatch.delenv("RBB_BUDGET_SECS")
+
+
+def test_main_answers_each_call_as_if_it_were_the_first(capsys, monkeypatch):
+    # The parser is built once per process; every later call must still get
+    # its own arguments, defaults and exit code, and the handler that is
+    # bound when it runs.
+    def call(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    def broken(args):
+        raise AttributeError("no such thing")
+
+    calls = [
+        ("nonvalid", "B p -> p"),
+        ("scenario", "Barn", "--witnesses", "1", "--bounds", "worlds=2"),
+        ("parse", "--theory", "RBBs", "--format", "json", "sigma:p"),
+        ("parse",),
+        ("nonvalid", "--bounds", "worlds=1", "--format", "json", "r:p -> p"),
+        ("parse", "p"),
+    ]
+    rbb.cli.build_parser.cache_clear()
+    first = {argv: call(*argv) for argv in calls}
+    assert [code for code, _, _ in first.values()] == [0, 0, 0, 2, 0, 0]
+    patched = (EXIT_BAD_INPUT, "", "error: internal error: AttributeError: no such thing\n")
+    for argv in [*calls[::-1], *calls]:
+        assert call(*argv) == first[argv], argv
+        monkeypatch.setattr("rbb.cli._cmd_parse", broken)
+        assert call("parse", "p") == patched
+        monkeypatch.undo()
+    assert call("parse", "p") == first[("parse", "p")]
+
+
 def test_a_formula_nested_too_deeply_is_bad_input(capsys):
     # Parsing is iterative, but printing and the search recurse, so a long
     # conjunction ends in RecursionError, which main reports as malformed

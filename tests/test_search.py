@@ -16,6 +16,7 @@ from rbb.search import (
     _class_key,
     _conjuncts,
     _letter_vectors,
+    _mentions,
     _nests,
     _orbit_key,
     _own_rows,
@@ -679,6 +680,67 @@ def test_literal_propagation_is_exact():
     assert folded >= 30 and contradicted >= 30
 
 
+def _quantified_goal_set(rng, cfg):
+    """Two to five literals on the atoms a quantifier's instances read, and
+    one or two conjuncts with ``A t.`` under ``~`` or ``|``."""
+    t, u = atom_term("t"), atom_term("u")
+    letters = [Letter(p) for p in cfg.letters]
+
+    def atoms(x):
+        return [Adequate(x), Supports(x, rng.choice(letters)), Believes(Adequate(x))]
+
+    def literal(atom):
+        return atom if rng.random() < 0.5 else Not(atom)
+
+    pool = letters + [a for r in cfg.reasons for a in atoms(atom_term(r))]
+    goals = [literal(atom) for atom in rng.sample(pool, rng.randint(2, 5))]
+    for _ in range(rng.randint(1, 2)):
+        pieces = [
+            literal(rng.choice([*atoms(t), *letters, Eq(t, atom_term(rng.choice(cfg.reasons)))]))
+            if rng.random() < 0.85
+            else ForAll("u", Or(literal(rng.choice(atoms(u))), Eq(u, t)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        body = pieces[0]
+        for piece in pieces[1:]:
+            body = Or(body, piece) if rng.random() < 0.5 else conj(body, piece)
+        quantifier = ForAll("t", body)
+        other = literal(rng.choice(pool)) if rng.random() < 0.7 else corpus.random_formula(rng, cfg, 2)
+        goals.append(rng.choice([Not(quantifier), Or(quantifier, other), Or(other, Not(quantifier))]))
+    return goals
+
+
+def test_quantifier_folding_is_exact():
+    # The schedule folds a quantifier under ~ or | as the conjunction of its
+    # instances; an unpruned candidate must meet the folded conjuncts
+    # exactly when it meets the goals, and a contradiction found there must
+    # have no model.
+    cfgs = (
+        TheoryConfig.from_name("QRBB", ("r", "s"), ("p", "q")),
+        TheoryConfig.from_name("QRBBs", ("r",), ("p",)),
+    )
+    rng = random.Random(19)
+    decided = contradicted = 0
+    for k in range(150):
+        cfg = cfgs[k % 2]
+        goals = _quantified_goal_set(rng, cfg)
+        scheduled = _scheduled(goals, cfg)
+        quantified = {c for g in goals for c in _conjuncts(g) if _mentions(c, (ForAll,))}
+        if scheduled is None:
+            contradicted += 1
+        elif not quantified & set(scheduled):
+            decided += 1
+        bounds = SearchBounds(max_worlds=1 + k % 2, budget_secs=None)
+        candidates = iter_candidates(goals, cfg, bounds, prune=False)
+        for model, point in itertools.islice(candidates, 200):
+            want = all(satisfies(model, point, g, cfg) for g in goals)
+            got = scheduled is not None and all(
+                satisfies(model, point, c, cfg) for c in scheduled
+            )
+            assert want == got, goals
+    assert decided >= 50 and contradicted >= 18, (decided, contradicted)
+
+
 # Pieces that put r-degree or s-degree into the point's base family, or
 # keep it out, or keep a set the letters fix out of it, next to checks on
 # sigma and on the other reasons.
@@ -795,7 +857,7 @@ def _keyed_check(cfg, n, letters, schedule, chosen):
 
 
 def _class_of(cfg, n, letters, schedule, chosen):
-    vectors = _letter_vectors(schedule, cfg, letters, n, len(cfg.reasons))
+    vectors = _letter_vectors(schedule, letters, n, len(cfg.reasons))
     for k, key in enumerate(chosen):
         vectors = _append_key(vectors, key, k)
     return _class_key(len(chosen), vectors)
@@ -964,7 +1026,7 @@ def test_completions_agree_within_an_orbit():
                     sum((valuation[p] >> i & 1) << j for j, p in enumerate(cfg.letters))
                     for i in range(n)
                 ]
-                vectors = _letter_vectors(schedule, cfg, valuation, n, len(cfg.reasons))
+                vectors = _letter_vectors(schedule, valuation, n, len(cfg.reasons))
                 for k, key in enumerate(chosen):
                     vectors = _append_key(vectors, key, k)
                 answers.setdefault(_orbit_key(len(chosen), vectors, tags), []).append(got)
