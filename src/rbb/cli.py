@@ -19,7 +19,7 @@ exit codes are part of the contract and scripts may rely on them:
 
 The default search budget is 60 seconds.  RBB_BUDGET_SECS overrides it and
 ``--bounds budget=...`` wins over both; either lifts the cap with ``none``
-or ``0``.
+or a zero such as ``0`` or ``0.0``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -116,8 +117,12 @@ def _number(convert: type, text: str, what: str):
 
 
 def _budget(value: str, what: str) -> float | None:
-    """Seconds, or None for ``none`` and ``0``, which lift the cap."""
-    return None if value in ("none", "0") else _number(float, value, what)
+    """Seconds, or None for ``none`` and any zero, which lift the cap."""
+    secs = None if value == "none" else _number(float, value, what)
+    # NaN is truthy and refused too: no clock is ever past it or infinity.
+    if secs and not 0 < secs < math.inf:
+        raise ValueError(f"{what} needs a positive finite budget, 0 or none, got {value!r}")
+    return secs or None
 
 
 def _bounds(args: argparse.Namespace) -> SearchBounds:

@@ -9,10 +9,11 @@ world sets, bit x set when the world set x is a member, as in
 powerset of the powerset: each candidate family is the (rb)-closure of a
 small seed set drawn from the adequacy sets and the extensions of
 belief-free goal subformulas, deduplicated after closure.  The closure ORs
-in a precomputed superset family per believed reason's row until nothing
-changes, and a family is dropped as soon as the frame checker of
-:meth:`~rbb.semantics._Ctx.faults`, the one `validate_model` reports from,
-finds a fault at its world.
+in the forced sigma seed and then a superset family per believed reason's
+row until nothing changes.  One test, `_admits`, decides whether a family
+may stand at its world: it must hold the sets the point's belief literals
+need, lack those they avoid, and pass the frame checker of
+:meth:`~rbb.semantics._Ctx.faults`, the one `validate_model` reports from.
 
 Two shape restrictions keep the space tractable, each applied only when
 provably harmless for the goals at hand.  Relations collapse to a point row
@@ -29,7 +30,8 @@ are enumerated at every world from the same seed pool.
 The quick checks evaluate goals on raw masks with the evaluator the
 public functions use, :class:`~rbb.semantics._Ctx`, so the satisfaction
 clauses are written down once.  Goal analysis happens once per search: the
-Believes operands that seed the families are collected up front.  Quantifier
+formulas whose extensions seed the families, the active reasons' adequacy
+atoms and then the Believes operands, are collected up front.  Quantifier
 instances, here and in every context, come from :func:`~rbb.syntax.instances`.
 
 One schedule, built by `_schedule`, puts each goal conjunct into exactly
@@ -94,7 +96,9 @@ belief literals need.  Each fault the frame checker finds on that closed
 family, (pr), (d), (ma), (mr) or (mt), stays in every closed superset, and
 so does a set the belief literals avoid.  So a base fault drops the
 assignment before any menu is built: at the point in the walk, and at the
-other worlds in the family stage.  A forced reason's degree, sigma's by
+other worlds in the family stage.  There the base family, the closure of
+the forced seed alone, is worked out once per world: it is the base check,
+and without nested belief it is also the world's whole menu.  A forced reason's degree, sigma's by
 (mb) or r's by a point literal ``B r``, is in the base family, and by (rb)
 so is each superset of its point row.  So `_row_filter` drops a forced
 row inside a set that a literal ``~B phi`` avoids and the letters fix
@@ -151,6 +155,7 @@ from .syntax import (
     Not,
     Or,
     Supports,
+    atom_term,
     formula_letters,
     free_reasons,
     instances,
@@ -242,8 +247,12 @@ def _conjuncts(formula: Formula) -> Iterator[Formula]:
         yield formula
 
 
-def _rb_closure(family: int, i: int, ctx: _Ctx, up: list[int]) -> int:
-    """The least family above ``family`` that meets (rb) at world i."""
+def _rb_closure(family: int, i: int, ctx: _Ctx) -> int:
+    """The least family above ``family`` and the forced sigma seed that
+    meets (rb) at world i."""
+    up = _superset_families(ctx.n)
+    if ctx.cfg.sigma:
+        family |= 1 << ctx.diag[SIGMA_NAME]
     while True:
         grown = family
         for name in ctx.cfg.reasons:
@@ -337,13 +346,6 @@ def _believed_operands(
     for goal in goal_list:
         walk(goal)
     return tuple(dict.fromkeys(operands))
-
-
-def _seed_pool(active: tuple[str, ...], operands: tuple[Formula, ...], ctx: _Ctx) -> list[int]:
-    """Sets worth offering a neighborhood family, first occurrence first."""
-    masks = [ctx.diag[name] for name in active]
-    masks.extend(ctx.extension(body) for body in operands)
-    return list(dict.fromkeys(masks))
 
 
 @dataclass
@@ -505,21 +507,33 @@ def _point_sets(schedule: _Schedule, ctx: _Ctx) -> tuple[int, int]:
     return need, avoid
 
 
-def _base_fault(
-    ctx: _Ctx, i: int, up: list[int], need: int = 0, avoid: int = 0
-) -> bool:
-    """True when world i's base family (see the module docstring) has a
-    frame fault or a member of ``avoid``, so that its menu is empty."""
-    forced = 1 << ctx.diag[SIGMA_NAME] if ctx.cfg.sigma else 0
-    base = _rb_closure(forced | need, i, ctx, up)
-    fault = next(ctx.faults(i, base, up, f"w{i}"), None)
-    return bool(base & avoid) or fault is not None
+def _admits(ctx: _Ctx, i: int, family: int, need: int = 0, avoid: int = 0) -> bool:
+    """True when ``family`` holds every world set of ``need``, none of
+    ``avoid``, and no frame fault at world i."""
+    up = _superset_families(ctx.n)
+    return (
+        family & need == need
+        and not family & avoid
+        and next(ctx.faults(i, family, up, f"w{i}"), None) is None
+    )
+
+
+def _base_fault(ctx: _Ctx, need: int, avoid: int) -> bool:
+    """True when the point's base family (see the module docstring) is not
+    admitted, so that its menu is empty."""
+    return not _admits(ctx, 0, _rb_closure(need, 0, ctx), need, avoid)
 
 
 @functools.cache
 def _subset_families(n: int) -> list[int]:
     """Entry x is the family, over n worlds, of the subsets of x."""
     return [sum(1 << r for r in range(1 << n) if not r & ~x) for x in range(1 << n)]
+
+
+@functools.cache
+def _superset_families(n: int) -> list[int]:
+    """Entry x is the family, over n worlds, of the supersets of x."""
+    return [superset_family(x, n) for x in range(1 << n)]
 
 
 def _own_rows(schedule: _Schedule, name: str, plain: _Ctx) -> int:
@@ -558,41 +572,14 @@ def _row_filter(
 
 
 def _family_menu(
-    bounds: SearchBounds,
-    pool: list[int],
-    ctx: _Ctx,
-    up: list[int],
-    i: int,
-    prune: bool,
-    need: int = 0,
-    avoid: int = 0,
+    max_seeds: int, pool: list[int], ctx: _Ctx, i: int, prune: bool, need: int = 0, avoid: int = 0
 ) -> list[int]:
-    """Deduplicated seed closures for world i, each holding the forced sigma
-    seed, smallest seed sets first.
-
-    Pruning keeps only the families with every world set of ``need`` and
-    none of ``avoid`` as members.
-    """
-    menu: list[int] = []
-    seen: set[int] = set()
-    forced = 1 << ctx.diag[SIGMA_NAME] if ctx.cfg.sigma else 0
-    for size in range(min(bounds.max_seeds, len(pool)) + 1):
-        for picks in itertools.combinations(pool, size):
-            family = forced
-            for x in picks:
-                family |= 1 << x
-            family = _rb_closure(family, i, ctx, up)
-            if family in seen:
-                continue
-            seen.add(family)
-            if prune and (
-                family & need != need
-                or family & avoid
-                or next(ctx.faults(i, family, up, f"w{i}"), None) is not None
-            ):
-                continue
-            menu.append(family)
-    return menu
+    """The distinct (rb)-closures at world i of up to ``max_seeds`` sets of
+    ``pool``, smallest seed sets first; pruning keeps the admitted ones."""
+    sizes = range(min(max_seeds, len(pool)) + 1)
+    picks = itertools.chain.from_iterable(itertools.combinations(pool, k) for k in sizes)
+    closures = dict.fromkeys(_rb_closure(sum(1 << x for x in seeds), i, ctx) for seeds in picks)
+    return [family for family in closures if not prune or _admits(ctx, i, family, need, avoid)]
 
 
 RELATION, FAMILY = "relation steps", "family combinations"
@@ -620,7 +607,9 @@ def iter_candidates(
         split.update(_conjuncts(goal))
     goal_list = tuple(sorted(split, key=print_formula))
     active_reasons, active_letters = _active_alphabets(goal_list, cfg)
-    operands = _believed_operands(goal_list, cfg)
+    # The sets worth offering a family: adequacy sets, then belief operands.
+    seeds = [Adequate(atom_term(name)) for name in active_reasons]
+    seeds += _believed_operands(goal_list, cfg)
 
     # With no Supports nested in a goal, no relation-stage check reads a
     # row other than the point's.
@@ -651,7 +640,6 @@ def iter_candidates(
             )
 
     for n in range(1, bounds.max_worlds + 1):
-        up = [superset_family(row, n) for row in range(1 << n)]
         verdicts: dict[tuple[int, ...], bool] = {}
         letter_space = range(1 << len(active_letters))
         for point_val in letter_space:
@@ -661,13 +649,9 @@ def iter_candidates(
                     for j, name in enumerate(active_letters):
                         if mask >> j & 1:
                             letters[name] |= 1 << i
-                walk = _relation_walk(
-                    cfg, n, letters, active_reasons, schedule, keyed, up, tick, verdicts
-                )
+                walk = _relation_walk(cfg, n, letters, active_reasons, schedule, keyed, tick, verdicts)
                 for ctx in walk:
-                    yield from _family_stage(
-                        bounds, active_reasons, operands, ctx, up, point_ready, schedule, tick,
-                    )
+                    yield from _family_stage(bounds.max_seeds, seeds, ctx, point_ready, schedule, tick)
 
 
 def _relation_walk(
@@ -677,7 +661,6 @@ def _relation_walk(
     active: tuple[str, ...],
     schedule: _Schedule,
     keyed: bool,
-    up: list[int],
     tick: Callable[[str], None],
     verdicts: dict[tuple[int, ...], bool],
 ) -> Iterator[_Ctx]:
@@ -708,7 +691,7 @@ def _relation_walk(
         tick(RELATION)
         ctx = context(named)
         return all(ctx.extension(g) & 1 for g in goals) and not (
-            base and _base_fault(ctx, 0, up, *_point_sets(schedule, ctx))
+            base and _base_fault(ctx, *_point_sets(schedule, ctx))
         )
 
     def passes(shapes: list[_Shape], goals: list[Formula]) -> bool:
@@ -811,43 +794,40 @@ def _relation_walk(
 
 
 def _family_stage(
-    bounds: SearchBounds,
-    active: tuple[str, ...],
-    operands: tuple[Formula, ...],
-    ctx: _Ctx,
-    up: list[int],
-    point_ready: bool,
-    schedule: _Schedule,
+    max_seeds: int, seeds: list[Formula], ctx: _Ctx, point_ready: bool, schedule: _Schedule,
     tick: Callable[[str], None],
 ) -> Iterator[tuple[Model, str]]:
     """The candidates of one relation assignment ``ctx``, one family per world.
 
-    The relation walk has already checked the point's base family; a base
-    fault at another world ends the assignment before any menu is built.
-    The point's menu comes next and keeps only the families that decide
-    the schedule's belief literals the way the goals ask, so an empty menu
-    ends the assignment before the other worlds' menus and the product.
-    The staged check then evaluates, on each combination of families, just
-    the conjuncts no earlier stage decides; with none, every combination is
-    a candidate and no staged context is built.
+    The relation walk has already checked the point's base family.  Each
+    other world's least family, the closure of the forced seed alone, is
+    its base check: one that is not admitted ends the assignment before any
+    menu is built.  Without nested belief it is also that world's whole
+    menu.  The point's menu comes next and keeps only the families that
+    decide the schedule's belief literals the way the goals ask, so an
+    empty menu ends the assignment before the other worlds' menus and the
+    product.  The staged check then evaluates, on each combination of
+    families, just the conjuncts no earlier stage decides; with none, every
+    combination is a candidate and no staged context is built.
     """
-    cfg, n, diag = ctx.cfg, ctx.n, ctx.diag
     prune = schedule.prune
-    if prune and any(_base_fault(ctx, i, up) for i in range(1, n)):
-        return
-    pool = _seed_pool(active, operands, ctx)
-    point_menu = _family_menu(bounds, pool, ctx, up, 0, prune, *_point_sets(schedule, ctx))
+    menus = []
+    for i in range(1, ctx.n):
+        family = _rb_closure(0, i, ctx)
+        if prune and not _admits(ctx, i, family):
+            return
+        menus.append([family])
+    pool = list(dict.fromkeys(map(ctx.extension, seeds)))
+    point_menu = _family_menu(max_seeds, pool, ctx, 0, prune, *_point_sets(schedule, ctx))
     if not point_menu:
         return
-    # Without nested belief only the point's family matters, so every other
-    # world gets the minimal family, the closure of the forced seed alone.
-    rest_pool = [] if point_ready else pool
-    menus = [_family_menu(bounds, rest_pool, ctx, up, i, prune) for i in range(1, n)]
+    if not point_ready:
+        menus = [_family_menu(max_seeds, pool, ctx, i, prune) for i in range(1, ctx.n)]
     staged = schedule.staged
     for combo in itertools.product(point_menu, *menus):
         tick(FAMILY)
         if staged:
-            at = _Ctx(cfg, n, ctx.letters, ctx.rows, diag, combo)
+            at = _Ctx(ctx.cfg, ctx.n, ctx.letters, ctx.rows, ctx.diag, combo)
             if not all(at.extension(g) & 1 for g in staged):
                 continue
         yield _assemble(ctx.letters, ctx.rows, combo), "w0"

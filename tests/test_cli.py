@@ -480,11 +480,15 @@ def test_budget_env_override(capsys, monkeypatch):
     assert err == "error: RBB_BUDGET_SECS needs a number, got 'x'\n"
     code, _, _ = run(capsys, "find-model", "p", "--bounds", "budget=1")
     assert code == EXIT_OK
-    # The variable reads its value as the budget bound does: none and 0 lift
-    # the cap.
-    for value in ("none", "0"):
+    # The variable reads its value as the budget bound does: none and any
+    # zero lift the cap.
+    for value in ("none", "0", "0.0", "00", "-0"):
         monkeypatch.setenv("RBB_BUDGET_SECS", value)
         code, out, err = run(capsys, "nonvalid", "--bounds", "worlds=1", "B p -> p")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("not valid: countermodel found")
+        monkeypatch.setenv("RBB_BUDGET_SECS", "1e-9")
+        code, out, err = run(capsys, "nonvalid", "--bounds", f"worlds=1,budget={value}", "B p -> p")
         assert (code, err) == (EXIT_OK, "")
         assert out.startswith("not valid: countermodel found")
 
@@ -661,10 +665,10 @@ def test_nan_budget_is_bad_input(capsys, monkeypatch):
     # NaN compares false with every deadline, so it would lift the budget.
     argv = ("find-model", "B p", "--bounds", "worlds=1")
     code, _, err = run(capsys, *argv, "--bounds", "budget=nan")
-    assert code == EXIT_BAD_INPUT and "budget" in err
+    assert code == EXIT_BAD_INPUT and "bound 'budget'" in err
     monkeypatch.setenv("RBB_BUDGET_SECS", "nan")
     code, _, err = run(capsys, *argv)
-    assert code == EXIT_BAD_INPUT and "budget" in err
+    assert code == EXIT_BAD_INPUT and "RBB_BUDGET_SECS" in err and "budget" in err
     code, _, _ = run(capsys, *argv, "--bounds", "budget=1")
     assert code == EXIT_OK
 

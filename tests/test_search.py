@@ -10,6 +10,7 @@ import corpus
 import rbb.search
 from rbb.parser import parse, print_formula
 from rbb.search import (
+    _admits,
     _append_key,
     _base_fault,
     _believed_operands,
@@ -21,6 +22,7 @@ from rbb.search import (
     _orbit_key,
     _own_rows,
     _point_sets,
+    _rb_closure,
     _row_filter,
     _schedule,
     _shape,
@@ -809,6 +811,45 @@ def test_point_row_filter_is_exact():
     assert capped > 50 and min(cuts.values()) > 300, (capped, cuts)
 
 
+def test_base_faults_are_monotone():
+    # World i's base family, the (rb)-closure of the forced sigma seed and
+    # ``need``, is admitted exactly when some (rb)-closed family holding both
+    # is: each fault it has, and each member of ``avoid``, stays in every
+    # closed superset.  The walk's base check and the family stage's least
+    # families rely on this.  The oracle tries every family over n worlds.
+    rng = random.Random(19)
+    cfgs = (
+        TheoryConfig.from_name("RBB", ("r", "s"), ("p",)),
+        TheoryConfig.from_name("RBBs", ("r", "s"), ("p",)),
+        TheoryConfig.from_name("RBBs+", ("r", "s"), ("p",)),
+        TheoryConfig.from_name("RBB", ("r", "p"), ("p",), allow_overlap=True),
+    )
+    faults = 0
+    for case in range(3600):
+        cfg, n = cfgs[case % 4], case % 3 + 1
+        sets = 1 << n
+        rows = {name: [rng.randrange(sets) for _ in range(n)] for name in cfg.reasons}
+        diag = {name: sum(row[i] & 1 << i for i in range(n)) for name, row in rows.items()}
+        ctx = _Ctx(cfg, n, {"p": rng.randrange(sets)}, rows, diag, (0,) * n)
+        i = rng.randrange(n)
+        need, avoid = (sum(1 << x for x in rng.sample(range(sets), rng.randint(0, 2))) for _ in "na")
+        up = [superset_family(row, n) for row in range(sets)]
+        floor = need | (1 << diag[SIGMA_NAME] if cfg.sigma else 0)
+        closed = (
+            family
+            for family in range(1 << sets)
+            if family & floor == floor
+            and all(up[rows[r][i]] & ~family == 0 for r in cfg.reasons if family >> diag[r] & 1)
+        )
+        admitted = any(
+            not family & avoid and next(ctx.faults(i, family, up, "w"), None) is None
+            for family in closed
+        )
+        assert _admits(ctx, i, _rb_closure(need, i, ctx), need, avoid) == admitted, (cfg.name, n)
+        faults += not admitted
+    assert faults > 1000, faults
+
+
 def test_folding_expands_an_exposed_quantifier():
     # ~p turns p | A t. t:q into a top-level quantifier, which must give
     # way to its instances like any other.
@@ -850,9 +891,8 @@ def _keyed_check(cfg, n, letters, schedule, chosen):
         rows[name], diag[name] = _shape(n, key)
     ctx = _Ctx(cfg, n, letters, rows, diag, (0,) * n)
     k = len(chosen)
-    up = [superset_family(row, n) for row in range(1 << n)]
     return all(ctx.extension(g) & 1 for g in schedule.relations.get(k, [])) and not (
-        k == len(cfg.reasons) and _base_fault(ctx, 0, up, *_point_sets(schedule, ctx))
+        k == len(cfg.reasons) and _base_fault(ctx, *_point_sets(schedule, ctx))
     )
 
 
