@@ -17,6 +17,14 @@ exit codes are part of the contract and scripts may rely on them:
        consistency search or any attack ran out of budget, and otherwise
        as its consistency search does
 
+Malformed input reaches ``main`` as a ValueError or, for a file that
+cannot be read, an OSError.  Every error class rbb raises for a caller's
+bad input or argument subclasses ValueError: ParseError, UnknownWorld,
+UnknownReason, UnknownSymbol, AppSemanticsUndefined, UnknownCitation,
+TheoryMismatch, UnknownScenario, NoFreshVariable, SkeletonTooLarge and
+CaptureError.  FixtureCorrupt is not one: it is a defect of the package,
+and ``rbb library`` reports it as a rejection.
+
 The default search budget is 60 seconds.  RBB_BUDGET_SECS overrides it and
 ``--bounds budget=...`` wins over both; either lifts the cap with ``none``
 or a zero such as ``0`` or ``0.0``.
@@ -34,21 +42,14 @@ from collections.abc import Sequence
 
 from .jtb import (
     SCENARIO_NAMES,
-    UnknownScenario,
     analyze_scenario,
     report_to_doc,
     report_to_text,
     scenario,
 )
 from .library import derived_library
-from .parser import ParseError, parse, print_formula
-from .proof import (
-    FixtureCorrupt,
-    TheoryMismatch,
-    UnknownCitation,
-    check_proof,
-    proof_from_doc,
-)
+from .parser import parse, print_formula
+from .proof import FixtureCorrupt, check_proof, proof_from_doc
 from .search import (
     BudgetExceeded,
     Exhausted,
@@ -59,10 +60,6 @@ from .search import (
     outcome_to_doc,
 )
 from .semantics import (
-    AppSemanticsUndefined,
-    UnknownReason,
-    UnknownSymbol,
-    UnknownWorld,
     Violation,
     model_from_doc,
     model_to_doc,
@@ -78,24 +75,6 @@ EXIT_EXHAUSTED = 3
 EXIT_BUDGET = 4
 
 DEFAULT_BUDGET_SECS = 60.0
-
-# Everything a malformed invocation can raise.  json.JSONDecodeError is a
-# ValueError subclass; KeyError and TypeError cover structurally bad docs.
-_BAD_INPUT = (
-    ParseError,
-    ValueError,
-    KeyError,
-    TypeError,
-    OSError,
-    UnknownScenario,
-    UnknownCitation,
-    TheoryMismatch,
-    UnknownWorld,
-    UnknownReason,
-    UnknownSymbol,
-    AppSemanticsUndefined,
-)
-
 
 def _split(csv: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in csv.split(",") if part.strip())
@@ -153,7 +132,10 @@ def _bounds(args: argparse.Namespace) -> SearchBounds:
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON document nested too deeply") from None
 
 
 def _emit_json(doc: dict) -> None:
@@ -241,7 +223,7 @@ def _cmd_check_proof(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _theory(args)
     model, point = model_from_doc(_load_json(args.model))
-    world = args.at or point
+    world = point if args.at is None else args.at
     if world is None:
         raise ValueError("the model file has no point; pass --at WORLD")
     value = satisfies(model, world, parse(args.formula, cfg), cfg)
@@ -430,7 +412,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             pass  # a stream with no file descriptor keeps nothing for the exit
         print("error: standard output closed", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except _BAD_INPUT as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except RecursionError:

@@ -51,11 +51,11 @@ from .syntax import (
 from .theory import TheoryConfig
 
 
-class NoFreshVariable(Exception):
+class NoFreshVariable(ValueError):
     """Every declared reason symbol occurs free in the target formula."""
 
 
-class UnknownScenario(Exception):
+class UnknownScenario(ValueError):
     pass
 
 

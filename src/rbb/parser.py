@@ -72,7 +72,7 @@ class SourceSpan:
     end: int
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"{message} (at {span.start}..{span.end})")
         self.message = message

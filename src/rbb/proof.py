@@ -32,11 +32,11 @@ from .syntax import (
 from .theory import SchemeId, SkeletonTooLarge, TheoryConfig, match_axiom
 
 
-class UnknownCitation(Exception):
+class UnknownCitation(ValueError):
     """A Cite justification names a theorem absent from the library."""
 
 
-class TheoryMismatch(Exception):
+class TheoryMismatch(ValueError):
     """A cited theorem was checked under a theory the citing proof does not extend."""
 
 

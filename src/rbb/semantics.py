@@ -67,19 +67,19 @@ if TYPE_CHECKING:
 MAX_VALIDATION_WORLDS = 16
 
 
-class UnknownWorld(Exception):
+class UnknownWorld(ValueError):
     pass
 
 
-class UnknownReason(Exception):
+class UnknownReason(ValueError):
     pass
 
 
-class UnknownSymbol(Exception):
+class UnknownSymbol(ValueError):
     """A formula mentions a letter or reason absent from the theory's alphabets."""
 
 
-class AppSemanticsUndefined(Exception):
+class AppSemanticsUndefined(ValueError):
     """Model evaluation was requested for the App variant, which has none."""
 
 

@@ -36,7 +36,7 @@ SIGMA_NAME = "sigma"
 RESERVED_WORDS = frozenset({"A", "E", "B"})
 
 
-class CaptureError(Exception):
+class CaptureError(ValueError):
     """Substitution would capture a free occurrence under a quantifier."""
 
 

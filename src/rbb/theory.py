@@ -70,7 +70,7 @@ MAX_SKELETON_ATOMS = 16
 THEORY_NAMES = ("RBB", "RBBs", "RBBs+", "QRBB", "QRBBs", "QRBBs+", "RBB+App")
 
 
-class SkeletonTooLarge(Exception):
+class SkeletonTooLarge(ValueError):
     """The propositional skeleton exceeds the truth-table cap."""
 
 

@@ -595,9 +595,9 @@ def _proof_with(path, value):
 # Proof documents with a field of the wrong JSON type, each with the field
 # that the error message must name.  A string for an array would be read as
 # its characters, and the string "false" is truthy.  A justification that
-# takes two values must be named with the shape it expects.  The last three
-# are justifications of the right type that name no scheme, no kind and no
-# reason term.
+# takes two values must be named with the shape it expects.  Three are
+# justifications of the right type that name no scheme, no kind and no
+# reason term, and one numbers its first step 2.
 BAD_PROOF_FIELDS = {
     "reasons-string": (_proof_with(("theory", "reasons"), "rs"), "reasons"),
     "letters-string": (_proof_with(("theory", "letters"), "pq"), "letters"),
@@ -624,6 +624,7 @@ BAD_PROOF_FIELDS = {
     "rn-formula": (
         _proof_with(("steps", 0, "by"), {"rn": [1, "r:p"]}), "rn needs a reason term, got 'r:p'"
     ),
+    "step-misnumbered": (_proof_with(("steps", 0, "i"), 2), "step 1 is numbered 2"),
 }
 
 
@@ -727,3 +728,100 @@ def test_a_formula_nested_too_deeply_is_bad_input(capsys):
     for command in ("parse", "nonvalid"):
         code, out, err = run(capsys, command, deep)
         assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: formula nested too deeply\n")
+
+
+def _skeleton_proof(atoms):
+    letters = [f"p{i}" for i in range(atoms)]
+    goal = " | ".join([*letters, "~p0"])
+    doc = _proof_with(("theory", "letters"), letters)
+    doc["goal"] = doc["steps"][0]["f"] = goal
+    return doc
+
+
+# Checker diagnostics pinned through the CLI: (document, command, exit code,
+# standard output, standard error).
+DIAGNOSTICS = {
+    "scheme-outside-theory": (
+        _proof_with(("steps", 0, "by"), {"axiom": "MT"}) | {
+            "theory": {"theory": "RBBs", "reasons": ["r"], "letters": ["p"]}
+        },
+        "check-proof",
+        EXIT_REJECTED,
+        "Rejected at step 1 (theory RBBs): scheme (MT) is not part of RBBs\n",
+        "",
+    ),
+    "skeleton-over-cap": (
+        _skeleton_proof(17),
+        "check-proof",
+        EXIT_REJECTED,
+        "Rejected at step 1 (theory RBB): propositional skeleton has 17 atoms "
+        "(cap 16); split the step into smaller pieces\n",
+        "",
+    ),
+    "undeclared-relation": (
+        {**TINY_MODEL, "access": {"r": [["w0", "w0"]]}},
+        "validate-model",
+        EXIT_BAD_INPUT,
+        "",
+        "error: model has no relation entry for declared reason 's'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DIAGNOSTICS))
+def test_checker_diagnostic_is_pinned(capsys, tmp_path, kind):
+    doc, command, *expected = DIAGNOSTICS[kind]
+    result = run(capsys, command, write_json(tmp_path, "doc.json", doc))
+    assert result == tuple(expected)
+
+
+@pytest.mark.parametrize("command", ["check-proof", "validate-model", "eval"])
+def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path, command):
+    # json.load recurses; its RecursionError is not a deep formula.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = ["eval", "--model", str(path), "p"] if command == "eval" else [command, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        EXIT_BAD_INPUT, "", f"error: {path}: JSON document nested too deeply\n"
+    )
+
+
+def test_eval_at_an_empty_world_name_is_not_the_point(capsys, tmp_path):
+    path = write_json(tmp_path, "m.json", TINY_MODEL)
+    code, out, err = run(capsys, "eval", "--model", path, "--at", "", "p")
+    assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: unknown world ''\n")
+
+
+def test_input_errors_are_value_errors(capsys, monkeypatch):
+    # main reports a ValueError as malformed input with its own message, so
+    # every error class for a caller's bad input must be one.  A corrupt
+    # bundled fixture is a defect of the package, not of the input.
+    input_errors = (
+        rbb.ParseError,
+        rbb.semantics.UnknownWorld,
+        rbb.semantics.UnknownReason,
+        rbb.semantics.UnknownSymbol,
+        rbb.semantics.AppSemanticsUndefined,
+        rbb.proof.UnknownCitation,
+        rbb.proof.TheoryMismatch,
+        rbb.jtb.UnknownScenario,
+        rbb.jtb.NoFreshVariable,
+        rbb.theory.SkeletonTooLarge,
+        rbb.syntax.CaptureError,
+    )
+    assert all(issubclass(cls, ValueError) for cls in input_errors)
+    assert not issubclass(rbb.proof.FixtureCorrupt, ValueError)
+
+    def raising(exc):
+        def handler(args):
+            raise exc
+        return handler
+
+    monkeypatch.setattr("rbb.cli._cmd_parse", raising(rbb.semantics.UnknownWorld("x")))
+    assert run(capsys, "parse", "p") == (EXIT_BAD_INPUT, "", "error: x\n")
+    # Any other exception, a KeyError included, is a bug in rbb.
+    monkeypatch.setattr("rbb.cli._cmd_parse", raising(KeyError("k")))
+    assert run(capsys, "parse", "p") == (
+        EXIT_BAD_INPUT, "", "error: internal error: KeyError: 'k'\n"
+    )
