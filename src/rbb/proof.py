@@ -12,6 +12,7 @@ logical defects produce a :class:`Verdict` rejecting the earliest bad step.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -210,7 +211,7 @@ def _check_step(
 
     entry = library.get(just.name)
     if entry is None:
-        raise UnknownCitation(just.name)
+        raise UnknownCitation(f"no theorem {_brief(just.name)} in the library")
     if not cfg.extends(entry.proof.theory):
         raise TheoryMismatch(
             f"{just.name!r} was checked under {entry.proof.theory.name}, "
@@ -256,24 +257,31 @@ def _just_to_doc(just: Justification) -> dict:
     return {"cite": just.name}
 
 
+def _brief(value: object) -> str:
+    """``value`` for an error message: its repr, bounded in depth and cut to
+    60 characters, so a large or deeply nested document is not echoed."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _index(value: object) -> int:
     if type(value) is not int:
-        raise ValueError(f"a step index must be a JSON integer, got {value!r}")
+        raise ValueError(f"a step index must be a JSON integer, got {_brief(value)}")
     return value
 
 
 def _just_from_doc(doc: dict, cfg: TheoryConfig) -> Justification:
     if not isinstance(doc, dict) or len(doc) != 1:
-        raise ValueError(f"malformed justification {doc!r}")
+        raise ValueError(f"malformed justification {_brief(doc)}")
     kind, value = next(iter(doc.items()))
     pair = {"mp": "[index, index]", "rn": "[index, reason]", "gen": "[index, variable]"}
     if kind in pair and not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{kind} needs a JSON array {pair[kind]}, got {value!r}")
+        raise ValueError(f"{kind} needs a JSON array {pair[kind]}, got {_brief(value)}")
     if kind == "axiom":
         try:
             return Axiom(SchemeId(value))
         except ValueError:
-            raise ValueError(f"unknown scheme {value!r}") from None
+            raise ValueError(f"unknown scheme {_brief(value)}") from None
     if kind == "mp":
         i, j = value
         return MP(_index(i), _index(j))
@@ -284,16 +292,20 @@ def _just_from_doc(doc: dict, cfg: TheoryConfig) -> Justification:
         except ParseError as exc:
             raise ValueError(f"bad reason in rn: {exc}") from None
         if not isinstance(atom, Adequate):
-            raise ValueError(f"rn needs a reason term, got {text!r}")
+            raise ValueError(f"rn needs a reason term, got {_brief(text)}")
         return RN(_index(i), atom.reason)
     if kind == "e":
         return E(_index(value))
     if kind == "gen":
         i, var = value
-        return Gen(_index(i), str(var))
+        if not isinstance(var, str):
+            raise ValueError(f"gen needs a variable name string, got {_brief(var)}")
+        return Gen(_index(i), var)
     if kind == "cite":
-        return Cite(str(value))
-    raise ValueError(f"unknown justification kind {kind!r}")
+        if not isinstance(value, str):
+            raise ValueError(f"cite needs a theorem name string, got {_brief(value)}")
+        return Cite(value)
+    raise ValueError(f"unknown justification kind {_brief(kind)}")
 
 
 def proof_to_doc(proof: Proof) -> dict:

@@ -24,19 +24,31 @@ from a Model that keeps each family as a set of world-set masks, since an
 integer over world sets has 2^n bits; `validate_model`, which caps the
 world count, turns them into integers for the checker.  A Model encodes
 itself once and keeps the encoding, so `validate_model` and every
-`satisfies` or `extension` call on the same model share it; each call
-still gets a fresh context with its own memo.  Every context takes the
-instances of a quantifier from :func:`~rbb.syntax.instances`, whose cache
-serves the whole process.  The App variant gets no semantics here,
-matching its proof-theoretic-only status.
+`satisfies` or `extension` call on the same model share it.  Each call
+still gets a fresh context, with its own memo, over a view of that
+encoding, kept per pair of alphabets, that maps exactly the theory's
+declared letters and the declared reasons the model relates.
+
+The walk reads a letter, and the adequacy atom of a basic or sigma term,
+straight from the context's maps, so a leaf costs no memo lookup.  It
+stops where it cannot go on: at a name outside the maps, or at a formula
+outside the theory's language.  The public functions then let
+:func:`ensure_in_language` name the fault, so they keep its tested
+precedence and walk a formula once.  `validate_model`'s report builds its
+violations as they are read, so asking whether a model is in the class
+stops at the first fault.  Every context takes the instances of a
+quantifier from :func:`~rbb.syntax.instances`, whose cache serves the
+whole process.  The App variant gets no semantics here, matching its
+proof-theoretic-only status.
 
 :class:`_Ctx` also decides (CL) for the proof checker: a truth table over k
-atoms is a context of 2^k worlds, one per row, whose memo holds each atom's
-rows before the walk.
+atoms is a context of 2^k worlds, one per row, and :meth:`_Ctx.assume`
+fixes each atom's rows before the walk.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -90,9 +102,10 @@ class Model:
     Equality and hashing go through the wire document of
     :func:`model_to_doc`, so two models are equal exactly when their
     documents are, however their inputs were ordered.  A model caches that
-    key and its bitmask encoding the first time they are needed, so mutating
-    its mappings after construction is unsupported: the caches would go on
-    describing the old structure.
+    key, its bitmask encoding and that encoding's view under each pair of
+    alphabets the first time they are needed, so mutating its mappings
+    after construction is unsupported: the caches would go on describing
+    the old structure.
     """
 
     worlds: tuple[str, ...]
@@ -140,6 +153,21 @@ class Model:
                 family.add(mask)
             families.append(frozenset(family))
         return n, letters, rows, diag, tuple(families)
+
+    def _view(self, letters: tuple[str, ...], reasons: tuple[str, ...]) -> tuple:
+        """``_masks`` with its maps limited to the given alphabets, kept per pair."""
+        views = self.__dict__.setdefault("_views", {})
+        view = views.get((letters, reasons))
+        if view is None:
+            n, true, rows, diag, families = self._masks
+            view = views[letters, reasons] = (
+                n,
+                {p: true.get(p, 0) for p in letters},
+                {r: rows[r] for r in reasons if r in rows},
+                {r: diag[r] for r in reasons if r in diag},
+                families,
+            )
+        return view
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Model) and self._key == other._key
@@ -309,6 +337,13 @@ def _members(family: int) -> Iterator[int]:
         family ^= low
 
 
+def _symbol(term: object) -> str:
+    """The name of an atomic reason term; a compound one has no clause."""
+    if type(term) is App:
+        raise TypeError("compound reason terms have no satisfaction clause")
+    return term_name(term)
+
+
 class _Ctx:
     """Bitmask evaluator and frame checker over the worlds 0..n-1.
 
@@ -402,46 +437,68 @@ class _Ctx:
                     "a believed set does not cover sigma(w)"
                 )
 
+    def assume(self, atom: Formula, worlds: int) -> None:
+        """Fix the extension of ``atom`` to ``worlds`` before a walk, where the
+        walk reads it: a leaf in its map, any other formula in the memo."""
+        if type(atom) is Letter:
+            self.letters[atom.name] = worlds
+        elif type(atom) is Adequate and type(atom.reason) is not App:
+            self.diag[term_name(atom.reason)] = worlds
+        else:
+            self.memo[atom] = worlds
+
     def extension(self, formula: Formula) -> int:
+        """The worlds where ``formula`` holds, as a mask.
+
+        A letter, and the adequacy atom of a basic or sigma term, are read
+        straight from ``letters`` and ``diag``.  A negation costs one XOR,
+        less than a memo lookup, so only its operand goes through the memo,
+        as every other formula does.  Where the walk cannot go on, at a
+        name it cannot look up or a formula outside the theory's language,
+        it raises KeyError, ValueError or TypeError; :func:`_evaluate` then
+        lets :func:`ensure_in_language` name the fault.
+        """
+        kind = type(formula)
+        if kind is Letter:
+            return self.letters[formula.name]
+        if kind is Adequate and type(formula.reason) is not App:
+            return self.diag[term_name(formula.reason)]
+        if kind is Not:
+            return self.full ^ self.extension(formula.sub)
         cached = self.memo.get(formula)
         if cached is not None:
             return cached
-        kind = type(formula)
-        if kind is Letter:
-            out = self.letters.get(formula.name, 0)
-        elif kind is Not:
-            out = self.full ^ self.extension(formula.sub)
-        elif kind is Or:
+        if kind is Or:
             out = self.extension(formula.left) | self.extension(formula.right)
         elif kind is Supports:
-            name = term_name(formula.reason)
-            try:
-                row = self.rows[name]
-            except KeyError:
-                raise UnknownReason(f"model has no relation entry for {name!r}") from None
+            row = self.rows[_symbol(formula.reason)]
             inside = self.extension(formula.sub)
             out = 0
             for i in range(self.n):
                 if row[i] & ~inside == 0:
                     out |= 1 << i
-        elif kind is Adequate:
-            name = term_name(formula.reason)
-            try:
-                out = self.diag[name]
-            except KeyError:
-                raise UnknownReason(f"model has no relation entry for {name!r}") from None
         elif kind is Believes:
             out = self.believers(self.extension(formula.sub))
-        elif kind is Eq:
-            same = term_name(formula.left) == term_name(formula.right)
-            out = self.full if same else 0
+        elif kind is Eq or kind is ForAll:
+            if not self.cfg.quantified:
+                raise UnknownSymbol(_QUANTIFIED_ONLY)
+            names = self.cfg.reasons
+            if kind is Eq:
+                # index() refuses an undeclared name.
+                left, right = _symbol(formula.left), _symbol(formula.right)
+                out = self.full if names.index(left) == names.index(right) else 0
+            else:
+                found = instances(formula, names)
+                if not found:
+                    # No instance visits the body, so check its language here.
+                    ensure_in_language(formula, self.cfg)
+                out = self.full
+                for inst in found:
+                    out &= self.extension(inst)
+                    if out == 0:
+                        break
         else:
-            assert kind is ForAll
-            out = self.full
-            for inst in instances(formula, self.cfg.reasons):
-                out &= self.extension(inst)
-                if out == 0:
-                    break
+            raise TypeError("no satisfaction clause")
         self.memo[formula] = out
         return out
 
@@ -464,20 +521,40 @@ class _ModelCtx(_Ctx):
         return out
 
 
+def _evaluate(model: Model, formula: Formula, cfg: TheoryConfig) -> int:
+    """The extension of ``formula`` in ``model``, as a mask, in one walk.
+
+    Where the walk stops, :func:`ensure_in_language` names the fault; a
+    formula it accepts stopped at a declared reason the model does not
+    relate, or at the recursion limit.
+    """
+    if cfg.app:  # no formula has a clause there, so none is walked
+        ensure_in_language(formula, cfg)
+    ctx = _ModelCtx(cfg, *model._view(cfg.letters, cfg.reasons))
+    try:
+        return ctx.extension(formula)
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
+        ensure_in_language(formula, cfg)
+        if type(exc) is KeyError:
+            raise UnknownReason(f"model has no relation entry for {exc.args[0]!r}") from None
+        raise
+
+
 def extension(model: Model, formula: Formula, cfg: TheoryConfig) -> frozenset[str]:
-    """The set of worlds where ``formula`` holds."""
-    ensure_in_language(formula, cfg)
-    mask = _ModelCtx(cfg, *model._masks).extension(formula)
+    """The set of worlds where ``formula`` holds; see :func:`_evaluate`."""
+    mask = _evaluate(model, formula, cfg)
     return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
 
 
 def satisfies(model: Model, world: str, formula: Formula, cfg: TheoryConfig) -> bool:
-    """Truth at a single world; see the module docstring for the clauses."""
+    """Truth at a single world; see the module docstring for the clauses.
+
+    An unknown world is refused before the formula is read, and a formula
+    outside the theory's language as :func:`ensure_in_language` refuses it.
+    """
     if world not in model.worlds:
         raise UnknownWorld(f"unknown world {world!r}")
-    ensure_in_language(formula, cfg)
-    mask = _ModelCtx(cfg, *model._masks).extension(formula)
-    return bool(mask >> model.worlds.index(world) & 1)
+    return bool(_evaluate(model, formula, cfg) >> model.worlds.index(world) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +572,47 @@ class Violation:
     detail: str = ""
 
 
-@dataclass(frozen=True)
 class PropertyReport:
-    violations: tuple[Violation, ...] = ()
+    """The frame faults of a model, in report order; none means it is in the class.
+
+    The faults are built as they are read: ``ok`` builds at most the first,
+    and ``violations`` the rest, once.  Equality, hashing, repr, pickles and
+    copies go through ``violations``, as for a frozen dataclass with that
+    one field, so how much of a report was read never shows.
+    """
+
+    __slots__ = ("_built", "_rest")
+
+    def __init__(self, violations: Iterable[Violation] = ()) -> None:
+        self._built: tuple[Violation, ...] = ()
+        self._rest = iter(violations)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        if not self._built:
+            self._built = tuple(itertools.islice(self._rest, 1))
+        return not self._built
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        rest = tuple(self._rest)
+        if rest:
+            self._built += rest
+        return self._built
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PropertyReport:
+            return NotImplemented
+        return self.violations == other.violations
+
+    def __hash__(self) -> int:
+        return hash((self.violations,))
+
+    def __repr__(self) -> str:
+        return f"PropertyReport(violations={self.violations!r})"
+
+    def __reduce__(self) -> tuple:
+        return PropertyReport, (self.violations,)
 
 
 def _require_entries(model: Model, cfg: TheoryConfig) -> None:
@@ -521,6 +632,7 @@ def validate_model(model: Model, cfg: TheoryConfig) -> PropertyReport:
     world by world in the order of :meth:`_Ctx.faults`; where a property
     names the first offending set, that is the least one as a bitmask over
     the world order.  An empty report means the model belongs to the class.
+    The report builds them as they are read, so ``ok`` stops at the first.
     """
     _require_entries(model, cfg)
     n = len(model.worlds)
@@ -535,14 +647,13 @@ def validate_model(model: Model, cfg: TheoryConfig) -> PropertyReport:
     def named(mask: int) -> frozenset[str]:
         return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
 
-    out = [
+    return PropertyReport(
         Violation(prop, w, reasons, tuple(named(x) for x in sets), detail)
         for i, w in enumerate(model.worlds)
         for prop, reasons, sets, detail in ctx.faults(
             i, _family_of(ctx.families[i], n), up, w
         )
-    ]
-    return PropertyReport(tuple(out))
+    )
 
 
 def check_rc(model: Model) -> PropertyReport:

@@ -267,10 +267,11 @@ def is_tautology_instance(formula: Formula) -> bool:
             f"(cap {MAX_SKELETON_ATOMS}); split the step into smaller pieces"
         )
     # Row j of the table is world j of 2^k worlds, and atom i is true at the
-    # rows with bit i set.  Every atom is in the memo before the walk, so the
+    # rows with bit i set.  Every atom is fixed before the walk, so the
     # context evaluates only Not and Or and never reads its configuration.
     ctx = _Ctx(None, 1 << k, {}, {}, {}, ())
-    ctx.memo.update((atom, superset_family(1 << i, k)) for i, atom in enumerate(atoms))
+    for i, atom in enumerate(atoms):
+        ctx.assume(atom, superset_family(1 << i, k))
     return ctx.extension(formula) == ctx.full
 
 

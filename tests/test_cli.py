@@ -592,12 +592,18 @@ def _proof_with(path, value):
     return doc
 
 
+# A justification value nested 400 deep, whose repr alone is 800
+# characters, and a 5,000-character name.
+DEEP = json.loads("[" * 400 + "]" * 400)
+LONG = "x" * 5000
+
 # Proof documents with a field of the wrong JSON type, each with the field
 # that the error message must name.  A string for an array would be read as
 # its characters, and the string "false" is truthy.  A justification that
 # takes two values must be named with the shape it expects.  Three are
 # justifications of the right type that name no scheme, no kind and no
-# reason term, and one numbers its first step 2.
+# reason term, and one numbers its first step 2.  The rest are large or
+# deeply nested values, which the message must describe, not echo whole.
 BAD_PROOF_FIELDS = {
     "reasons-string": (_proof_with(("theory", "reasons"), "rs"), "reasons"),
     "letters-string": (_proof_with(("theory", "letters"), "pq"), "letters"),
@@ -625,6 +631,14 @@ BAD_PROOF_FIELDS = {
         _proof_with(("steps", 0, "by"), {"rn": [1, "r:p"]}), "rn needs a reason term, got 'r:p'"
     ),
     "step-misnumbered": (_proof_with(("steps", 0, "i"), 2), "step 1 is numbered 2"),
+    "deep-justification": (_proof_with(("steps", 0, "by"), DEEP), "malformed justification"),
+    "deep-mp": (_proof_with(("steps", 0, "by"), {"mp": DEEP}), "mp needs a JSON array"),
+    "deep-index": (_proof_with(("steps", 0, "by"), {"e": DEEP}), "step index"),
+    "deep-gen-variable": (_proof_with(("steps", 0, "by"), {"gen": [1, DEEP]}), "gen needs"),
+    "deep-citation": (_proof_with(("steps", 0, "by"), {"cite": DEEP}), "cite needs"),
+    "long-scheme": (_proof_with(("steps", 0, "by"), {"axiom": LONG}), "unknown scheme"),
+    "long-kind": (_proof_with(("steps", 0, "by"), {LONG: 1}), "unknown justification kind"),
+    "long-citation": (_proof_with(("steps", 0, "by"), {"cite": LONG}), "no theorem"),
 }
 
 
@@ -634,6 +648,7 @@ def test_proof_field_of_the_wrong_type_is_bad_input(capsys, tmp_path, kind):
     code, out, err = run(capsys, "check-proof", write_json(tmp_path, "p.json", doc))
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and field in err
+    assert err.count("\n") == 1 and len(err) < 200, err
     assert "internal error" not in err and "Traceback" not in out + err
 
 

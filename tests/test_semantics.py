@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import pickle
 import random
@@ -13,9 +14,12 @@ from rbb.semantics import (
     MAX_VALIDATION_WORLDS,
     AppSemanticsUndefined,
     Model,
+    PropertyReport,
     UnknownReason,
     UnknownSymbol,
     UnknownWorld,
+    Violation,
+    _ModelCtx,
     check_rc,
     ensure_in_language,
     extension,
@@ -363,6 +367,89 @@ def test_language_check_matches_the_three_walk_oracle():
     assert len(verdicts) == 6 and min(verdicts.values()) > 500, verdicts
 
 
+def _checked_then_evaluated(model, formula, cfg):
+    """The two walks the public functions made before: the language check,
+    then evaluation over every declared name, a missing relation refused."""
+    ensure_in_language(formula, cfg)
+    n, letters, rows, diag, families = model._masks
+    declared = {p: letters.get(p, 0) for p in cfg.letters}
+    try:
+        mask = _ModelCtx(cfg, n, declared, rows, diag, families).extension(formula)
+    except KeyError as exc:
+        raise UnknownReason(f"model has no relation entry for {exc.args[0]!r}") from None
+    return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
+
+
+def _answer(call, *args):
+    try:
+        return call(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_one_walk_answers_as_the_check_then_the_walk():
+    # r is related, z is related but undeclared, and s is declared but
+    # has no relation, so every way a walk can stop is reachable.
+    model = make_model(
+        ["w0", "w1"],
+        {"r": [("w0", "w1"), ("w1", "w1")], "z": [("w0", "w0")]},
+        {"w0": [["w1"], ["w0", "w1"]], "w1": [["w1"]]},
+        {"w1": ["p"], "w0": ["m"]},
+    )
+    rng = random.Random(20261018)
+    configs = [
+        TheoryConfig.from_name(name, ("r", "s"), ("p", "q"))
+        for name in ("RBB", "QRBB", "QRBBs+", "RBB+App")
+    ]
+    answers = collections.Counter()
+    for _ in range(3000):
+        formula = _wild_formula(rng, rng.randint(1, 6))
+        for cfg in configs:
+            expected = _answer(_checked_then_evaluated, model, formula, cfg)
+            assert _answer(extension, model, formula, cfg) == expected, (formula, cfg.name)
+            at_w1 = expected if isinstance(expected, tuple) else "w1" in expected
+            assert _answer(satisfies, model, "w1", formula, cfg) == at_w1, (formula, cfg.name)
+            answers[type(expected) if isinstance(expected, frozenset) else expected[0]] += 1
+    # Answers, refusals of the language and missing relations all occur.
+    assert answers.keys() == {
+        frozenset, UnknownSymbol, AppSemanticsUndefined, UnknownReason
+    }, answers
+
+
+M = Letter("m")
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        # No name is free for x, so no instance visits the body.
+        ForAll("x", rbb.syntax.conj(
+            ForAll("r", Supports(atom_term("x"), P)),
+            ForAll("s", Supports(atom_term("x"), P)),
+            M,
+        )),
+        # r:p fails at both worlds, so the quantifier's conjunction is empty
+        # after its first instance.
+        rbb.syntax.conj(ForAll("x", Supports(atom_term("x"), P)), M),
+        ForAll("x", rbb.syntax.conj(Supports(atom_term("x"), P), M)),
+        # Too deep for the evaluator's recursion; the language check is not.
+        rbb.syntax.conj(*[P] * 5000, M),
+    ],
+    ids=["no-instance", "after-the-exit", "inside-the-exit", "5001-conjuncts"],
+)
+def test_an_undeclared_letter_is_found_wherever_the_walk_stops(formula):
+    model = make_model(
+        ["w0", "w1"],
+        {"r": [("w0", "w0"), ("w1", "w0")], "s": [("w0", "w1")]},
+        valuation={"w1": ["p"]},
+    )
+    cfg = TheoryConfig.from_name("QRBB", ("r", "s"), ("p",))
+    for call, args in ((satisfies, (model, "w0")), (extension, (model,))):
+        with pytest.raises(UnknownSymbol) as refused:
+            call(*args, formula, cfg)
+        assert str(refused.value) == "undeclared letter 'm'"
+
+
 def test_evaluation_requires_declared_relations():
     m = make_model(["w0"], {"r": []})
     with pytest.raises(UnknownReason):
@@ -600,6 +687,10 @@ def frame_faults(model, cfg):
     return out
 
 
+#: sha256 of the frame-oracle corpus's violations as the reports list them.
+DIGEST = "67ee5c05da38fbc443e6b3ad071582a61df8537c71fed138f1f268e5fdf53058"
+
+
 def test_validation_agrees_with_the_set_based_frame_oracle():
     # Every model with reasons r and sigma on at most two worlds (up to the
     # w0/w1 relabeling), judged under RBBs and RBBs+.  The counts are pinned
@@ -613,6 +704,7 @@ def test_validation_agrees_with_the_set_based_frame_oracle():
 
     validated = collections.Counter()
     canonical = 0
+    listed = hashlib.sha256()  # every report's violations, in report order
     for n in (1, 2):
         worlds = tuple(f"w{i}" for i in range(n))
         pairs = list(itertools.product(range(n), repeat=2))
@@ -655,15 +747,65 @@ def test_validation_agrees_with_the_set_based_frame_oracle():
             )
             for cfg in (sigma, plus):
                 report = validate_model(model, cfg)
+                ok = report.ok  # builds at most the first violation
+                assert ok == (not report.violations)
+                for v in report.violations:
+                    sets = [sorted(x) for x in v.sets]
+                    listed.update(repr((v.prop, v.world, v.reasons, sets, v.detail)).encode())
                 got = collections.Counter(
                     (v.prop, v.world, v.reasons) for v in report.violations
                 )
                 assert got == collections.Counter(frame_faults(model, cfg)), (
                     model, cfg.name
                 )
-                validated[cfg.name] += report.ok
+                validated[cfg.name] += ok
     assert canonical == 16 + 32896
     assert validated == {"RBBs": 117, "RBBs+": 46}
+    # The reports, read for ``ok`` first, list what the eager reports of
+    # earlier versions listed, in the same order.
+    assert listed.hexdigest() == DIGEST
+
+
+def test_a_model_in_the_class_is_known_at_its_first_fault(monkeypatch):
+    # (d) breaks at w0 and at w1, yet asking only whether the model is in
+    # the class builds the first violation alone.
+    m = make_model(
+        ["w0", "w1"], {"r": [], "s": []}, {"w0": [["w0"], ["w1"]], "w1": [["w0"], ["w1"]]}
+    )
+    built = []
+
+    def counted(*args):
+        built.append(args[:2])
+        return Violation(*args)
+
+    monkeypatch.setattr(rbb.semantics, "Violation", counted)
+    report = validate_model(m, BASE)
+    assert not report.ok and built == [("d", "w0")]
+    assert {v.world for v in report.violations} == {"w0", "w1"}
+    assert len(built) == len(report.violations) == 4
+
+
+def test_a_report_behaves_as_the_frozen_record_it_was():
+    empty = PropertyReport(())
+    assert empty.ok and empty.violations == () and empty == PropertyReport()
+    assert repr(empty) == "PropertyReport(violations=())" and hash(empty) == hash(((),))
+    m = make_model(["w0", "w1"], {"r": [], "s": []}, {"w0": [["w0"], ["w1"]]})
+    for report in (validate_model(m, BASE), check_rc(_DISJOINT)):
+        assert not report.ok
+        faults = report.violations
+        assert faults and report.violations is faults
+        assert repr(report) == f"PropertyReport(violations={faults!r})"
+        assert hash(report) == hash((faults,))
+        assert report == PropertyReport(faults) and report != PropertyReport(faults[1:])
+        assert report != faults and report.__eq__(faults) is NotImplemented
+        for copy in (pickle.loads(pickle.dumps(report)), deepcopy(report)):
+            assert type(copy) is PropertyReport and copy == report
+            assert copy.violations == faults and not copy.ok
+    # A report read only for ``ok`` still compares, hashes and copies whole.
+    partial = validate_model(m, BASE)
+    assert not partial.ok and partial == validate_model(m, BASE)
+    assert pickle.loads(pickle.dumps(validate_model(m, BASE))) == partial
+    assert check_rc(tiny()) == empty and hash(check_rc(tiny())) == hash(empty)
 
 
 def test_validation_reports_letter_reason_mismatch_as_pr():
@@ -698,13 +840,15 @@ def test_rc_clean_on_validated_models(base_corpus):
         assert check_rc(model).ok
 
 
+# Both degrees believed yet the successor sets are disjoint; such a model
+# never validates, which is the point of the derived check.
+_DISJOINT = make_model(
+    ["w0", "w1"],
+    {"r": [("w0", "w0")], "s": [("w0", "w1"), ("w1", "w1")]},
+    {"w0": [["w0"], ["w1"]]},
+)
+
+
 def test_rc_reports_disjoint_believed_reasons():
-    # both degrees believed yet the successor sets are disjoint; such a
-    # model never validates, which is the point of the derived check
-    m = make_model(
-        ["w0", "w1"],
-        {"r": [("w0", "w0")], "s": [("w0", "w1"), ("w1", "w1")]},
-        {"w0": [["w0"], ["w1"]]},
-    )
-    assert not validate_model(m, BASE).ok
-    assert any(v.prop == "rc" for v in check_rc(m).violations)
+    assert not validate_model(_DISJOINT, BASE).ok
+    assert any(v.prop == "rc" for v in check_rc(_DISJOINT).violations)
