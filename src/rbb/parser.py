@@ -63,7 +63,7 @@ from .syntax import (
     neq,
     term_name,
 )
-from .theory import TheoryConfig
+from .theory import TheoryConfig, _brief
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             shown = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", tok.span)
+            raise ParseError(f"expected {what}, found {_brief(shown)}", tok.span)
         return self.take()
 
     # -- identifier resolution ---------------------------------------------
@@ -151,7 +151,7 @@ class _Parser:
             return Adequate(self._resolve_reason(tok, bound))
         if name in self.cfg.letters:
             return Letter(name)
-        raise ParseError(f"undeclared symbol {name!r}", tok.span)
+        raise ParseError(f"undeclared symbol {_brief(name)}", tok.span)
 
     def _resolve_reason(self, tok: _Token, bound: frozenset[str]) -> AtomicReason:
         name = tok.text
@@ -163,7 +163,7 @@ class _Parser:
             return Sigma()
         if name in self.cfg.reasons:
             return Basic(name)
-        raise ParseError(f"{name!r} is not a declared reason", tok.span)
+        raise ParseError(f"{_brief(name)} is not a declared reason", tok.span)
 
     # -- grammar -----------------------------------------------------------
 
@@ -213,7 +213,7 @@ class _Parser:
         if var.text == SIGMA_NAME:
             raise ParseError("sigma cannot be bound", var.span)
         if var.text in self.cfg.letters and var.text not in self.cfg.reasons:
-            raise ParseError(f"binder {var.text!r} collides with a letter", var.span)
+            raise ParseError(f"binder {_brief(var.text)} collides with a letter", var.span)
         self.expect(".", "'.' after the binder")
         body = self.formula(bound | {var.text})
         if head.text == "A":
@@ -248,7 +248,7 @@ class _Parser:
                 return neq(left_term, right_term)
             return self._resolve_atom(tok, bound)
         shown = tok.text or "end of input"
-        raise ParseError(f"expected a formula, found {shown!r}", tok.span)
+        raise ParseError(f"expected a formula, found {_brief(shown)}", tok.span)
 
     def _as_term(self, inner: Formula, opener: _Token) -> Reason:
         if isinstance(inner, Adequate):
@@ -286,7 +286,7 @@ def parse(text: str, cfg: TheoryConfig) -> Formula:
     out = parser.formula(frozenset())
     trailing = parser.peek()
     if trailing.kind != "eof":
-        raise ParseError(f"unexpected trailing {trailing.text!r}", trailing.span)
+        raise ParseError(f"unexpected trailing {_brief(trailing.text)}", trailing.span)
     return out
 
 

@@ -12,7 +12,6 @@ logical defects produce a :class:`Verdict` rejecting the earliest bad step.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -30,7 +29,7 @@ from .syntax import (
     impl,
     term_name,
 )
-from .theory import SchemeId, SkeletonTooLarge, TheoryConfig, match_axiom
+from .theory import SchemeId, SkeletonTooLarge, TheoryConfig, _brief, match_axiom
 
 
 class UnknownCitation(ValueError):
@@ -206,7 +205,7 @@ def _check_step(
             return f"(Gen) is not a rule of {cfg.name}"
         source = proof.steps[just.source - 1].formula
         if cur != ForAll(just.var, source):
-            return f"(Gen) conclusion must bind {just.var!r} over step {just.source}"
+            return f"(Gen) conclusion must bind {_brief(just.var)} over step {just.source}"
         return None
 
     entry = library.get(just.name)
@@ -257,13 +256,6 @@ def _just_to_doc(just: Justification) -> dict:
     return {"cite": just.name}
 
 
-def _brief(value: object) -> str:
-    """``value`` for an error message: its repr, bounded in depth and cut to
-    60 characters, so a large or deeply nested document is not echoed."""
-    text = reprlib.repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
-
-
 def _index(value: object) -> int:
     if type(value) is not int:
         raise ValueError(f"a step index must be a JSON integer, got {_brief(value)}")
@@ -287,8 +279,10 @@ def _just_from_doc(doc: dict, cfg: TheoryConfig) -> Justification:
         return MP(_index(i), _index(j))
     if kind == "rn":
         i, text = value
+        if not isinstance(text, str):
+            raise ValueError(f"rn needs a reason term string, got {_brief(text)}")
         try:
-            atom = parse(str(text), cfg)
+            atom = parse(text, cfg)
         except ParseError as exc:
             raise ValueError(f"bad reason in rn: {exc}") from None
         if not isinstance(atom, Adequate):

@@ -23,8 +23,8 @@ family (belief is false there).  The public functions build a context
 from a Model that keeps each family as a set of world-set masks, since an
 integer over world sets has 2^n bits; `validate_model`, which caps the
 world count, turns them into integers for the checker.  A Model encodes
-itself once and keeps the encoding, so `validate_model` and every
-`satisfies` or `extension` call on the same model share it.  Each call
+itself once and keeps the encoding, so `validate_model`, `check_rc` and
+every `satisfies` or `extension` call on the same model share it.  Each call
 still gets a fresh context, with its own memo, over a view of that
 encoding, kept per pair of alphabets, that maps exactly the theory's
 declared letters and the declared reasons the model relates.
@@ -34,12 +34,15 @@ straight from the context's maps, so a leaf costs no memo lookup.  It
 stops where it cannot go on: at a name outside the maps, or at a formula
 outside the theory's language.  The public functions then let
 :func:`ensure_in_language` name the fault, so they keep its tested
-precedence and walk a formula once.  `validate_model`'s report builds its
-violations as they are read, so asking whether a model is in the class
-stops at the first fault.  Every context takes the instances of a
-quantifier from :func:`~rbb.syntax.instances`, whose cache serves the
-whole process.  The App variant gets no semantics here, matching its
-proof-theoretic-only status.
+precedence and walk a formula once.  That check has no walk of its own:
+it reads the formula's nodes through :func:`~rbb.syntax.subformulas` and
+its free reasons through :func:`~rbb.syntax.free_reasons`.  The reports of
+`validate_model` and `check_rc` build their violations as they are read,
+so asking whether a model is in the class stops at the first fault.
+Every context takes the instances of a quantifier from
+:func:`~rbb.syntax.instances`, whose cache serves the whole process.  The
+App variant gets no semantics here, matching its proof-theoretic-only
+status.
 
 :class:`_Ctx` also decides (CL) for the proof checker: a truth table over k
 atoms is a context of 2^k worlds, one per row, and :meth:`_Ctx.assume`
@@ -65,9 +68,10 @@ from .syntax import (
     Letter,
     Not,
     Or,
-    Sigma,
     Supports,
+    free_reasons,
     instances,
+    subformulas,
     term_name,
 )
 
@@ -237,6 +241,7 @@ def reflexive_worlds(model: Model, reason: str) -> frozenset[str]:
 
 
 _QUANTIFIED_ONLY = "quantifiers and equations live in the quantified theories"
+_NO_COMPOUND_CLAUSE = "compound reason terms have no satisfaction clause"
 
 
 def ensure_in_language(formula: Formula, cfg: TheoryConfig) -> None:
@@ -246,55 +251,37 @@ def ensure_in_language(formula: Formula, cfg: TheoryConfig) -> None:
     are exempt (a binder may rename any symbol).  Compound App terms are
     refused outright since they have no satisfaction clause.
 
-    One preorder walk over the formula decides, and the error it raises
-    follows a fixed, tested precedence: the App variant as a whole; then the
-    first structural fault in preorder, which is an App term or a quantifier
-    or equation outside the quantified theories; then the least undeclared
-    letter; then the least undeclared free reason.
+    The check reads the formula through :mod:`rbb.syntax`: one
+    :func:`~rbb.syntax.subformulas` pass finds the structural faults and
+    collects the letters, and :func:`~rbb.syntax.free_reasons` gives the free
+    reasons.  The error follows a fixed, tested precedence: the App variant
+    as a whole; then the first structural fault in preorder, which is a node
+    that is not a formula, an App term, or a quantifier or equation outside
+    the quantified theories; then the least undeclared letter; then the
+    least undeclared free reason.
     """
     if cfg.app:
         raise AppSemanticsUndefined("the App variant has no model semantics")
     letters: set[str] = set()
-    reasons: set[str] = set()
-    stack: list[tuple[Formula, frozenset[str]]] = [(formula, frozenset())]
-    while stack:
-        f, bound = stack.pop()
+    for f in subformulas(formula):
         # Syntax nodes are never subclassed, so the exact type decides.
         kind = type(f)
-        if kind is Not or kind is Believes:
-            stack.append((f.sub, bound))
-        elif kind is Or:
-            stack.append((f.right, bound))
-            stack.append((f.left, bound))
-        elif kind is Letter:
+        if kind is Letter:
             letters.add(f.name)
-        elif kind is Supports or kind is Adequate or kind is Eq:
-            if kind is Eq:
-                if not cfg.quantified:
-                    raise UnknownSymbol(_QUANTIFIED_ONLY)
-                terms = (f.left, f.right)
-            else:
-                terms = (f.reason,)
-                if kind is Supports:
-                    stack.append((f.sub, bound))
-            for term in terms:
-                if type(term) is App:
-                    raise AppSemanticsUndefined(
-                        "compound reason terms have no satisfaction clause"
-                    )
-                name = SIGMA_NAME if type(term) is Sigma else term.name
-                if name not in bound:
-                    reasons.add(name)
-        elif kind is ForAll:
+        elif kind is Eq or kind is ForAll:
             if not cfg.quantified:
                 raise UnknownSymbol(_QUANTIFIED_ONLY)
-            stack.append((f.sub, bound | {f.var}))
-        else:
+            if kind is Eq and App in (type(f.left), type(f.right)):
+                raise AppSemanticsUndefined(_NO_COMPOUND_CLAUSE)
+        elif kind is Supports or kind is Adequate:
+            if type(f.reason) is App:
+                raise AppSemanticsUndefined(_NO_COMPOUND_CLAUSE)
+        elif kind is not Not and kind is not Or and kind is not Believes:
             raise TypeError(f"not a formula: {f!r}")
     bad_letter = letters - set(cfg.letters)
     if bad_letter:
         raise UnknownSymbol(f"undeclared letter {min(bad_letter)!r}")
-    bad_reason = reasons - set(cfg.reasons)
+    bad_reason = free_reasons(formula) - set(cfg.reasons)
     if bad_reason:
         raise UnknownSymbol(f"undeclared reason {min(bad_reason)!r}")
 
@@ -340,7 +327,7 @@ def _members(family: int) -> Iterator[int]:
 def _symbol(term: object) -> str:
     """The name of an atomic reason term; a compound one has no clause."""
     if type(term) is App:
-        raise TypeError("compound reason terms have no satisfaction clause")
+        raise TypeError(_NO_COMPOUND_CLAUSE)
     return term_name(term)
 
 
@@ -540,10 +527,14 @@ def _evaluate(model: Model, formula: Formula, cfg: TheoryConfig) -> int:
         raise
 
 
+def _named(model: Model, mask: int) -> frozenset[str]:
+    """The worlds of ``model`` in the world set ``mask``."""
+    return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
+
+
 def extension(model: Model, formula: Formula, cfg: TheoryConfig) -> frozenset[str]:
     """The set of worlds where ``formula`` holds; see :func:`_evaluate`."""
-    mask = _evaluate(model, formula, cfg)
-    return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
+    return _named(model, _evaluate(model, formula, cfg))
 
 
 def satisfies(model: Model, world: str, formula: Formula, cfg: TheoryConfig) -> bool:
@@ -643,12 +634,8 @@ def validate_model(model: Model, cfg: TheoryConfig) -> PropertyReport:
         )
     ctx = _ModelCtx(cfg, *model._masks)
     up = {row: superset_family(row, n) for rows in ctx.rows.values() for row in rows}
-
-    def named(mask: int) -> frozenset[str]:
-        return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
-
     return PropertyReport(
-        Violation(prop, w, reasons, tuple(named(x) for x in sets), detail)
+        Violation(prop, w, reasons, tuple(_named(model, x) for x in sets), detail)
         for i, w in enumerate(model.worlds)
         for prop, reasons, sets, detail in ctx.faults(
             i, _family_of(ctx.families[i], n), up, w
@@ -661,28 +648,29 @@ def check_rc(model: Model) -> PropertyReport:
 
     Every model that passes validation comes back clean here: (d) and (rb)
     jointly rule these configurations out, and this check makes that fact
-    observable on its own.  No theory argument is needed.
+    observable on its own.  No theory argument is needed.  It reads the
+    model's encoding, which it shares with `validate_model`, `satisfies` and
+    `extension`: r(w_i) is ``rows[r][i]``, and r is believed at w_i when r°,
+    ``diag[r]``, is in N(w_i).  Like `validate_model`'s report, this one
+    builds its violations as they are read.
     """
-    report: list[Violation] = []
-    reasons = sorted(model.access)
-    for w in model.worlds:
-        family = model.neighborhoods[w]
-        believed = [
-            r for r in reasons if reflexive_worlds(model, r) in family
-        ]
-        for a_pos, r in enumerate(believed):
-            for s in believed[a_pos:]:
-                if not successors(model, r, w) & successors(model, s, w):
-                    report.append(
-                        Violation(
+    _, _, rows, diag, families = model._masks
+
+    def faults() -> Iterator[Violation]:
+        for i, w in enumerate(model.worlds):
+            believed = [r for r in sorted(rows) if diag[r] in families[i]]
+            for pos, r in enumerate(believed):
+                for s in believed[pos:]:
+                    if not rows[r][i] & rows[s][i]:
+                        yield Violation(
                             "rc",
                             w,
                             (r, s),
-                            sets=(successors(model, r, w), successors(model, s, w)),
-                            detail="both reasons believed, successor sets disjoint",
+                            (_named(model, rows[r][i]), _named(model, rows[s][i])),
+                            "both reasons believed, successor sets disjoint",
                         )
-                    )
-    return PropertyReport(tuple(report))
+
+    return PropertyReport(faults())
 
 
 # ---------------------------------------------------------------------------

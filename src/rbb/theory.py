@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import re
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -91,17 +92,25 @@ class SchemeId(enum.Enum):
     APP = "APP"
 
 
+def _brief(value: object) -> str:
+    """``value`` for an error message: its repr, bounded in depth and cut to
+    60 characters, so a large or deeply nested input is not echoed.  A string
+    of up to 28 characters comes back as its plain repr."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _check_names(kind: str, names: tuple[str, ...]) -> None:
     if not names:
         raise ValueError(f"{kind} alphabet must be non-empty")
     seen = set()
     for name in names:
         if not _NAME_RE.match(name):
-            raise ValueError(f"invalid {kind} name {name!r}")
+            raise ValueError(f"invalid {kind} name {_brief(name)}")
         if name in RESERVED_WORDS:
             raise ValueError(f"{name!r} is reserved and cannot be a {kind}")
         if name in seen:
-            raise ValueError(f"duplicate {kind} name {name!r}")
+            raise ValueError(f"duplicate {kind} name {_brief(name)}")
         seen.add(name)
 
 
@@ -134,7 +143,9 @@ class TheoryConfig:
             raise ValueError("'sigma' cannot be a letter")
         overlap = set(self.reasons) & set(self.letters)
         if overlap and not self.allow_overlap:
-            raise ValueError(f"alphabets overlap on {sorted(overlap)}; pass allow_overlap=True")
+            raise ValueError(
+                f"alphabets overlap on {_brief(sorted(overlap))}; pass allow_overlap=True"
+            )
 
     # -- construction and serialization ------------------------------------
 
@@ -147,7 +158,7 @@ class TheoryConfig:
         allow_overlap: bool = False,
     ) -> "TheoryConfig":
         if name not in THEORY_NAMES:
-            raise ValueError(f"unknown theory {name!r}; expected one of {THEORY_NAMES}")
+            raise ValueError(f"unknown theory {_brief(name)}; expected one of {THEORY_NAMES}")
         sigma = name in ("RBBs", "RBBs+", "QRBBs", "QRBBs+")
         reasons = tuple(reasons)
         if sigma and SIGMA_NAME not in reasons:
@@ -184,6 +195,8 @@ class TheoryConfig:
         """The inverse of :meth:`to_doc`; any other JSON shape is a ValueError."""
         if not isinstance(doc, dict):
             raise ValueError("a theory document must be a JSON object")
+        if not isinstance(doc.get("theory"), str):
+            raise ValueError("theory field 'theory' must be a JSON string")
         for key in ("reasons", "letters"):
             if not is_string_array(doc.get(key)):
                 raise ValueError(f"theory field {key!r} must be a JSON array of strings")

@@ -125,6 +125,13 @@ def test_eval(capsys, tmp_path):
         assert code == EXIT_OK and out == expected + "\n"
 
 
+def test_eval_json_format(capsys, tmp_path):
+    path = write_json(tmp_path, "m.json", TINY_MODEL)
+    code, out, err = run(capsys, "eval", "--model", path, "--format", "json", "B q")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == {"formula": "B q", "world": "w0", "value": False}
+
+
 def test_eval_needs_a_world(capsys, tmp_path):
     doc = {k: v for k, v in TINY_MODEL.items() if k != "point"}
     path = write_json(tmp_path, "m.json", doc)
@@ -639,6 +646,29 @@ BAD_PROOF_FIELDS = {
     "long-scheme": (_proof_with(("steps", 0, "by"), {"axiom": LONG}), "unknown scheme"),
     "long-kind": (_proof_with(("steps", 0, "by"), {LONG: 1}), "unknown justification kind"),
     "long-citation": (_proof_with(("steps", 0, "by"), {"cite": LONG}), "no theorem"),
+    "long-step-symbol": (_proof_with(("steps", 0, "f"), LONG), "undeclared symbol"),
+    "long-goal-symbol": (_proof_with(("goal",), LONG), "undeclared symbol"),
+    "long-trailing": (_proof_with(("steps", 0, "f"), "p " + LONG), "unexpected trailing"),
+    "long-rn-reason": (_proof_with(("steps", 0, "by"), {"rn": [1, LONG]}), "bad reason in rn"),
+    "rn-number": (
+        _proof_with(("steps", 0, "by"), {"rn": [1, 5]}), "rn needs a reason term string, got 5"
+    ),
+    "rn-undeclared": (
+        _proof_with(("steps", 0, "by"), {"rn": [1, "z"]}),
+        "bad reason in rn: undeclared symbol 'z'",
+    ),
+    "long-theory": (_proof_with(("theory", "theory"), LONG), "unknown theory"),
+    "theory-array": (_proof_with(("theory", "theory"), list(range(1000))), "'theory'"),
+    "long-reason": (_proof_with(("theory", "reasons"), ["r", "9" + LONG]), "invalid reason"),
+    "long-duplicate-reason": (
+        _proof_with(("theory", "reasons"), [LONG, LONG]), "duplicate reason"
+    ),
+    "long-overlap": (
+        _proof_with(("theory",), {"theory": "RBB", "reasons": [LONG], "letters": [LONG]}),
+        "alphabets overlap",
+    ),
+    "document-array": ([IDENTITY_PROOF], "a proof document must be a JSON object"),
+    "steps-object": (_proof_with(("steps",), {}), "'steps'"),
 }
 
 
@@ -650,6 +680,23 @@ def test_proof_field_of_the_wrong_type_is_bad_input(capsys, tmp_path, kind):
     assert err.startswith("error:") and field in err
     assert err.count("\n") == 1 and len(err) < 200, err
     assert "internal error" not in err and "Traceback" not in out + err
+
+
+# Command-line alphabets that no theory accepts, with the error each gives.
+BAD_ALPHABETS = {
+    "empty": (("--reasons", ""), "reason alphabet must be non-empty"),
+    "duplicate": (("--reasons", "r,r"), "duplicate reason name 'r'"),
+    "sigma-outside-sigma-theory": (
+        ("--theory", "RBB", "--reasons", "sigma"),
+        "'sigma' in the reason alphabet requires a sigma theory",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ALPHABETS))
+def test_bad_alphabet_is_bad_input(capsys, kind):
+    options, message = BAD_ALPHABETS[kind]
+    assert run(capsys, "parse", *options, "p") == (EXIT_BAD_INPUT, "", f"error: {message}\n")
 
 
 def test_justification_indices_are_not_read_from_a_string(capsys, tmp_path):

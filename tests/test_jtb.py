@@ -137,6 +137,14 @@ def test_sigma_note():
     sc = Scenario("tiny", rbbs, frozenset([parse("B p", rbbs)]), ())
     report = analyze_scenario(sc, SearchBounds(max_worlds=1))
     assert report.note is not None and "sigma" in report.note
+    # No bundled scenario is over a sigma theory, so only this one prints
+    # the note.
+    assert report_to_text(report).splitlines() == [
+        "scenario tiny over RBBs",
+        "  assume B p",
+        "consistency: witness (1 witnesses stored)",
+        f"note: {report.note}",
+    ]
 
 
 def test_report_documents():

@@ -470,6 +470,10 @@ def test_make_model_normalizes_and_validates():
         make_model(["w0"], {"r": [("w0", "w9")]})
     with pytest.raises(ValueError):
         make_model(["w0"], {}, {"w9": []})
+    with pytest.raises(ValueError, match="neighborhood of 'w0' contains unknown worlds"):
+        make_model(["w0"], {}, {"w0": [["w0"], ["w9"]]})
+    with pytest.raises(ValueError, match="valuation entry for unknown world 'w9'"):
+        make_model(["w0"], {}, valuation={"w9": ["p"]})
     m = make_model(["w0", "w1"], {"r": []})
     assert m.neighborhoods["w1"] == frozenset()
     assert m.valuation["w1"] == frozenset()
@@ -852,3 +856,54 @@ _DISJOINT = make_model(
 def test_rc_reports_disjoint_believed_reasons():
     assert not validate_model(_DISJOINT, BASE).ok
     assert any(v.prop == "rc" for v in check_rc(_DISJOINT).violations)
+
+
+def rc_oracle(model):
+    """check_rc's definition, read from the access pairs as sets."""
+    report = []
+    reasons = sorted(model.access)
+    for w in model.worlds:
+        family = model.neighborhoods[w]
+        believed = [r for r in reasons if reflexive_worlds(model, r) in family]
+        for pos, r in enumerate(believed):
+            for s in believed[pos:]:
+                if not successors(model, r, w) & successors(model, s, w):
+                    report.append(
+                        Violation(
+                            "rc",
+                            w,
+                            (r, s),
+                            sets=(successors(model, r, w), successors(model, s, w)),
+                            detail="both reasons believed, successor sets disjoint",
+                        )
+                    )
+    return tuple(report)
+
+
+def _unchecked_model(rng):
+    """A model on one to three worlds with random relations and families,
+    most of which break the frame conditions."""
+    worlds = [f"w{i}" for i in range(rng.randint(1, 3))]
+    subsets = [
+        [w for j, w in enumerate(worlds) if k >> j & 1] for k in range(1 << len(worlds))
+    ]
+    pairs = list(itertools.product(worlds, repeat=2))
+    return make_model(
+        worlds,
+        {r: [pair for pair in pairs if rng.random() < 0.3] for r in ("r", "s", "t")},
+        {w: [x for x in subsets if rng.random() < 0.4] for w in worlds},
+    )
+
+
+def test_rc_matches_its_set_based_definition(base_corpus):
+    assert all(check_rc(m).violations == rc_oracle(m) for _, m in base_corpus)
+    assert check_rc(_DISJOINT).violations == rc_oracle(_DISJOINT)
+    rng = random.Random(20261021)
+    reported = collections.Counter()
+    for _ in range(600):
+        model = _unchecked_model(rng)
+        assert check_rc(model).violations == rc_oracle(model), model
+        for v in check_rc(model).violations:
+            reported["r = s, r(w) empty" if v.reasons[0] == v.reasons[1] else "r != s"] += 1
+    # Both kinds of violation are common, so the comparison is not vacuous.
+    assert min(reported.values()) > 100 and len(reported) == 2, reported
