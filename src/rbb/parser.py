@@ -50,6 +50,7 @@ from .syntax import (
     Reason,
     Sigma,
     Supports,
+    _brief,
     as_and,
     as_exists,
     as_iff,
@@ -63,7 +64,7 @@ from .syntax import (
     neq,
     term_name,
 )
-from .theory import TheoryConfig, _brief
+from .theory import TheoryConfig
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,14 @@ from .syntax import (
     ForAll,
     Reason,
     Supports,
+    _brief,
     as_iff,
     contains_app,
     iff,
     impl,
     term_name,
 )
-from .theory import SchemeId, SkeletonTooLarge, TheoryConfig, _brief, match_axiom
+from .theory import SchemeId, SkeletonTooLarge, TheoryConfig, match_axiom
 
 
 class UnknownCitation(ValueError):

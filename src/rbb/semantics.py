@@ -55,7 +55,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from .syntax import (
     SIGMA_NAME,
@@ -69,6 +70,7 @@ from .syntax import (
     Not,
     Or,
     Supports,
+    _brief,
     free_reasons,
     instances,
     subformulas,
@@ -180,63 +182,104 @@ class Model:
         return hash(self._key)
 
 
+def _names(value: object, strings: bool = False) -> tuple:
+    """The items of ``value``, a collection of names.
+
+    A str or a mapping is refused with a TypeError, since its items would be
+    read as its characters or keys, as is anything else that does not
+    iterate, and with ``strings`` any item that is not a str.
+    """
+    if isinstance(value, (str, Mapping)):
+        raise TypeError("a str or a mapping is not a collection of names")
+    names = tuple(value)
+    if strings and not all(isinstance(name, str) for name in names):
+        raise TypeError("a name is not a string")
+    return names
+
+
+def _malformed(field: str, entry: object, items: str) -> ValueError:
+    return ValueError(
+        f"model field {field!r} entry {_brief(entry)} must be a JSON array of {items}"
+    )
+
+
 def make_model(
     worlds: Iterable[str],
     access: Mapping[str, Iterable[tuple[str, str]]],
     neighborhoods: Mapping[str, Iterable[Iterable[str]]] | None = None,
     valuation: Mapping[str, Iterable[str]] | None = None,
 ) -> Model:
-    """Normalize loose inputs (lists, sets, missing worlds) into a Model.
+    """Check and normalize loose inputs (lists, sets, missing worlds) into a Model.
 
-    Every world gets an explicit neighborhood family and valuation entry;
-    pairs or keys that fall outside the world set are an error.
+    Each name is looked at once, in the walk that builds the model.  World
+    names and letters must be strings, and a world reference, a pair end or
+    a neighborhood member, must name a world.  Names come in any collection
+    but a str or a mapping, which is never read as its characters or keys.
+    Any other input is a ValueError that names its field.  Every world gets
+    an explicit neighborhood family and valuation entry.
     """
-    ws = tuple(worlds)
+    try:
+        ws = _names(worlds, strings=True)
+    except TypeError:
+        raise ValueError("model field 'worlds' must be a JSON array of strings") from None
     if not ws:
-        raise ValueError("a model needs at least one world")
-    if len(set(ws)) != len(ws):
-        raise ValueError("duplicate world ids")
+        raise ValueError("model field 'worlds' must name at least one world")
     wset = set(ws)
+    if len(wset) != len(ws):
+        raise ValueError("model field 'worlds' has duplicate world ids")
     acc: dict[str, frozenset[tuple[str, str]]] = {}
     for reason, pairs in access.items():
-        canon = frozenset((a, b) for a, b in pairs)
-        for a, b in canon:
-            if a not in wset or b not in wset:
-                raise ValueError(f"relation [{reason}] uses unknown world in ({a}, {b})")
-        acc[reason] = canon
-    nbhd: dict[str, frozenset[frozenset[str]]] = {}
+        try:
+            acc[reason] = frozenset((a, b) for a, b in map(_names, _names(pairs)))
+        except (TypeError, ValueError):
+            raise _malformed("access", reason, "[from, to] pairs of strings") from None
+        for pair in acc[reason]:
+            if not wset.issuperset(pair):
+                raise ValueError(
+                    f"model field 'access' entry {_brief(reason)} uses unknown world "
+                    f"in {_brief(pair)}"
+                )
+    nbhd: dict[str, frozenset[frozenset[str]]] = dict.fromkeys(ws, frozenset())
     for w, family in (neighborhoods or {}).items():
         if w not in wset:
-            raise ValueError(f"neighborhood entry for unknown world {w!r}")
-        fam = frozenset(frozenset(x) for x in family)
-        for x in fam:
-            if not x <= wset:
-                raise ValueError(f"neighborhood of {w!r} contains unknown worlds")
-        nbhd[w] = fam
-    val: dict[str, frozenset[str]] = {}
+            raise ValueError(f"neighborhood entry for unknown world {_brief(w)}")
+        try:
+            nbhd[w] = frozenset(frozenset(_names(x)) for x in _names(family))
+        except TypeError:
+            raise _malformed("neighborhoods", w, "arrays of strings") from None
+        if not all(x <= wset for x in nbhd[w]):
+            raise ValueError(f"neighborhood of {_brief(w)} contains unknown worlds")
+    val: dict[str, frozenset[str]] = dict.fromkeys(ws, frozenset())
     for w, letters in (valuation or {}).items():
         if w not in wset:
-            raise ValueError(f"valuation entry for unknown world {w!r}")
-        val[w] = frozenset(letters)
-    for w in ws:
-        nbhd.setdefault(w, frozenset())
-        val.setdefault(w, frozenset())
+            raise ValueError(f"valuation entry for unknown world {_brief(w)}")
+        try:
+            val[w] = frozenset(_names(letters, strings=True))
+        except TypeError:
+            raise _malformed("valuation", w, "strings") from None
     return Model(ws, acc, nbhd, val)
+
+
+def _index(model: Model, world: object, role: str = "world") -> int:
+    """The position of ``world`` in ``model``; UnknownWorld names it as ``role``."""
+    try:
+        return model.worlds.index(world)
+    except ValueError:
+        raise UnknownWorld(f"unknown {role} {_brief(world)}") from None
 
 
 def successors(model: Model, reason: str, world: str) -> frozenset[str]:
     """r(w): the worlds reached from ``world`` along ``reason``."""
-    if world not in model.worlds:
-        raise UnknownWorld(f"unknown world {world!r}")
+    _index(model, world)
     if reason not in model.access:
-        raise UnknownReason(f"unknown reason {reason!r}")
+        raise UnknownReason(f"unknown reason {_brief(reason)}")
     return frozenset(b for a, b in model.access[reason] if a == world)
 
 
 def reflexive_worlds(model: Model, reason: str) -> frozenset[str]:
     """The adequacy set r°: worlds that reach themselves along ``reason``."""
     if reason not in model.access:
-        raise UnknownReason(f"unknown reason {reason!r}")
+        raise UnknownReason(f"unknown reason {_brief(reason)}")
     return frozenset(a for a, b in model.access[reason] if a == b)
 
 
@@ -280,10 +323,10 @@ def ensure_in_language(formula: Formula, cfg: TheoryConfig) -> None:
             raise TypeError(f"not a formula: {f!r}")
     bad_letter = letters - set(cfg.letters)
     if bad_letter:
-        raise UnknownSymbol(f"undeclared letter {min(bad_letter)!r}")
+        raise UnknownSymbol(f"undeclared letter {_brief(min(bad_letter))}")
     bad_reason = free_reasons(formula) - set(cfg.reasons)
     if bad_reason:
-        raise UnknownSymbol(f"undeclared reason {min(bad_reason)!r}")
+        raise UnknownSymbol(f"undeclared reason {_brief(min(bad_reason))}")
 
 
 def superset_family(row: int, n: int) -> int:
@@ -523,7 +566,7 @@ def _evaluate(model: Model, formula: Formula, cfg: TheoryConfig) -> int:
     except (KeyError, ValueError, TypeError, RecursionError) as exc:
         ensure_in_language(formula, cfg)
         if type(exc) is KeyError:
-            raise UnknownReason(f"model has no relation entry for {exc.args[0]!r}") from None
+            raise UnknownReason(f"model has no relation entry for {_brief(exc.args[0])}") from None
         raise
 
 
@@ -543,9 +586,8 @@ def satisfies(model: Model, world: str, formula: Formula, cfg: TheoryConfig) -> 
     An unknown world is refused before the formula is read, and a formula
     outside the theory's language as :func:`ensure_in_language` refuses it.
     """
-    if world not in model.worlds:
-        raise UnknownWorld(f"unknown world {world!r}")
-    return bool(_evaluate(model, formula, cfg) >> model.worlds.index(world) & 1)
+    i = _index(model, world)
+    return bool(_evaluate(model, formula, cfg) >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +648,6 @@ class PropertyReport:
         return PropertyReport, (self.violations,)
 
 
-def _require_entries(model: Model, cfg: TheoryConfig) -> None:
-    missing = set(cfg.reasons) - set(model.access)
-    if missing:
-        raise UnknownReason(
-            f"model has no relation entry for declared reason {sorted(missing)[0]!r}"
-        )
-
-
 def validate_model(model: Model, cfg: TheoryConfig) -> PropertyReport:
     """Check every frame property the theory class requires, at every world.
 
@@ -625,7 +659,11 @@ def validate_model(model: Model, cfg: TheoryConfig) -> PropertyReport:
     the world order.  An empty report means the model belongs to the class.
     The report builds them as they are read, so ``ok`` stops at the first.
     """
-    _require_entries(model, cfg)
+    missing = set(cfg.reasons) - set(model.access)
+    if missing:
+        raise UnknownReason(
+            f"model has no relation entry for declared reason {_brief(min(missing))}"
+        )
     n = len(model.worlds)
     if n > MAX_VALIDATION_WORLDS:
         raise ValueError(
@@ -691,14 +729,9 @@ def model_to_doc(model: Model, point: str | None = None) -> dict:
         "valuation": {w: sorted(model.valuation[w]) for w in model.worlds},
     }
     if point is not None:
-        if point not in model.worlds:
-            raise UnknownWorld(f"unknown point {point!r}")
+        _index(model, point, "point")
         doc["point"] = point
     return doc
-
-
-def is_string_array(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def model_from_doc(doc: dict) -> tuple[Model, str | None]:
@@ -709,43 +742,21 @@ def model_from_doc(doc: dict) -> tuple[Model, str | None]:
     or null, which reads as empty, and are otherwise objects: ``access``
     maps a reason to an array of [from, to] pairs, ``neighborhoods`` a
     world to an array of world arrays, ``valuation`` a world to an array of
-    letters, all names being strings.  Any other shape is a ValueError
-    that names the field; a string is never read as its characters.
+    letters.  This function checks the document and its three objects;
+    :func:`make_model` checks every name in them as it builds the model.
+    Any other shape is a ValueError that names the field; a string is never
+    read as its characters.
     """
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object")
-    worlds = doc.get("worlds")
-    if not is_string_array(worlds):
-        raise ValueError("model field 'worlds' must be a JSON array of strings")
-    fields = {}
     for key in ("access", "neighborhoods", "valuation"):
         value = doc.get(key)
         if value is not None and not isinstance(value, dict):
             raise ValueError(f"model field {key!r} must be a JSON object")
-        fields[key] = value or {}
-    for reason, pairs in fields["access"].items():
-        if not isinstance(pairs, list) or not all(
-            is_string_array(pair) and len(pair) == 2 for pair in pairs
-        ):
-            raise ValueError(
-                f"model field 'access' entry {reason!r} must be a JSON array "
-                "of [from, to] pairs of strings"
-            )
-    for w, family in fields["neighborhoods"].items():
-        if not isinstance(family, list) or not all(is_string_array(x) for x in family):
-            raise ValueError(
-                f"model field 'neighborhoods' entry {w!r} must be a JSON array "
-                "of arrays of strings"
-            )
-    for w, letters in fields["valuation"].items():
-        if not is_string_array(letters):
-            raise ValueError(
-                f"model field 'valuation' entry {w!r} must be a JSON array of strings"
-            )
     model = make_model(
-        worlds, fields["access"], fields["neighborhoods"], fields["valuation"]
+        doc.get("worlds"), doc.get("access") or {}, doc.get("neighborhoods"), doc.get("valuation")
     )
     point = doc.get("point")
-    if point is not None and point not in model.worlds:
-        raise UnknownWorld(f"unknown point {point!r}")
+    if point is not None:
+        _index(model, point, "point")
     return model, point

@@ -26,6 +26,7 @@ as it is, so a quantifier's instances share its body's nodes.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Union
@@ -38,6 +39,14 @@ RESERVED_WORDS = frozenset({"A", "E", "B"})
 
 class CaptureError(ValueError):
     """Substitution would capture a free occurrence under a quantifier."""
+
+
+def _brief(value: object) -> str:
+    """``value`` for an error message: its repr, bounded in depth and cut to
+    60 characters, so a large or deeply nested input is not echoed.  A string
+    of up to 28 characters comes back as its plain repr."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _cached_hash(node) -> int:
@@ -141,14 +150,14 @@ def atom_term(name: str) -> AtomicReason:
 
 
 def term_name(term: AtomicReason) -> str:
-    if isinstance(term, Sigma):
+    if type(term) is Sigma:
         return SIGMA_NAME
     return term.name
 
 
 def term_symbols(term: Reason) -> frozenset[str]:
     """All reason symbols occurring in a term (App compounds are flattened)."""
-    if isinstance(term, App):
+    if type(term) is App:
         return term_symbols(term.left) | term_symbols(term.right)
     return frozenset({term_name(term)})
 
@@ -338,22 +347,22 @@ def free_reasons(formula: Formula) -> frozenset[str]:
     stack: list[tuple[Formula, frozenset[str]]] = [(formula, frozenset())]
     while stack:
         f, bound = stack.pop()
-        if isinstance(f, Letter):
-            continue
-        if isinstance(f, Or):
+        # Syntax nodes are never subclassed, so the exact type decides.
+        kind = type(f)
+        if kind is Or:
             stack.append((f.right, bound))
             stack.append((f.left, bound))
-        elif isinstance(f, (Not, Believes)):
+        elif kind is Not or kind is Believes:
             stack.append((f.sub, bound))
-        elif isinstance(f, Supports):
+        elif kind is Supports:
             out.update(term_symbols(f.reason) - bound)
             stack.append((f.sub, bound))
-        elif isinstance(f, Adequate):
+        elif kind is Adequate:
             out.update(term_symbols(f.reason) - bound)
-        elif isinstance(f, Eq):
+        elif kind is Eq:
             out.update(term_symbols(f.left) - bound)
             out.update(term_symbols(f.right) - bound)
-        else:
+        elif kind is not Letter:
             stack.append((f.sub, bound | {f.var}))
     return frozenset(out)
 
@@ -430,7 +439,7 @@ def substitute(formula: Formula, r: str, s: str) -> Formula:
             return f
         # s differs from r, so the body changed only at a free r.
         if f.var == s:
-            raise CaptureError(f"{s!r} is not free for {r!r}")
+            raise CaptureError(f"{_brief(s)} is not free for {_brief(r)}")
         return ForAll(f.var, sub)
 
     return walk(formula)

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import enum
 import re
-import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
-from .semantics import _Ctx, is_string_array, superset_family
+from .semantics import _Ctx, superset_family
 from .syntax import (
     RESERVED_WORDS,
     SIGMA,
@@ -57,6 +56,7 @@ from .syntax import (
     Not,
     Or,
     Supports,
+    _brief,
     as_implies,
     free_reasons,
     impl,
@@ -90,14 +90,6 @@ class SchemeId(enum.Enum):
     MR = "MR"
     MT = "MT"
     APP = "APP"
-
-
-def _brief(value: object) -> str:
-    """``value`` for an error message: its repr, bounded in depth and cut to
-    60 characters, so a large or deeply nested input is not echoed.  A string
-    of up to 28 characters comes back as its plain repr."""
-    text = reprlib.repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _check_names(kind: str, names: tuple[str, ...]) -> None:
@@ -198,7 +190,8 @@ class TheoryConfig:
         if not isinstance(doc.get("theory"), str):
             raise ValueError("theory field 'theory' must be a JSON string")
         for key in ("reasons", "letters"):
-            if not is_string_array(doc.get(key)):
+            names = doc.get(key)
+            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
                 raise ValueError(f"theory field {key!r} must be a JSON array of strings")
         overlap = doc.get("allow_overlap", False)
         if not isinstance(overlap, bool):

@@ -351,6 +351,9 @@ NOT_STRING_ARRAYS = {
     "access-pair-string": ("access", {"r": ["ab"]}),
     "access-pair-number": ("access", {"r": [1]}),
     "access-pair-triple": ("access", {"r": [["a", "b", "a"]]}),
+    "access-pair-object": ("access", {"r": [{"a": 1, "b": 2}]}),
+    "neighborhoods-member-object": ("neighborhoods", {"a": [{"a": 1}]}),
+    "valuation-object": ("valuation", {"a": {"p": 1}}),
 }
 
 
@@ -369,6 +372,35 @@ def test_model_entries_that_are_not_arrays_of_strings_are_bad_input(
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and key in err
+    assert "internal error" not in err and "Traceback" not in out + err
+
+
+LONG_NAME = "z" * 5000
+
+# Model input that names a 5,000-character world, reason or point; the
+# world to evaluate at, if any, is the last item.
+LONG_NAMES = {
+    "point": ({"worlds": ["w0"], "point": LONG_NAME}, None),
+    "access-key": ({"worlds": ["w0"], "access": {LONG_NAME: 5}}, None),
+    "valuation-key": ({"worlds": ["w0"], "valuation": {LONG_NAME: []}}, None),
+    "pair-end": ({"worlds": ["w0"], "access": {"r": [["w0", LONG_NAME]]}}, None),
+    "neighborhoods-key": ({"worlds": ["w0"], "neighborhoods": {LONG_NAME: []}}, None),
+    "eval-at": (TINY_MODEL, LONG_NAME),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_NAMES))
+def test_model_input_errors_do_not_echo_long_names(capsys, tmp_path, kind):
+    doc, world = LONG_NAMES[kind]
+    path = write_json(tmp_path, "m.json", doc)
+    if world is None:
+        argv = ["validate-model", path]
+    else:
+        argv = ["eval", "--model", path, "--at", world, "p"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err[:100]
     assert "internal error" not in err and "Traceback" not in out + err
 
 

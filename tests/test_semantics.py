@@ -479,6 +479,128 @@ def test_make_model_normalizes_and_validates():
     assert m.valuation["w1"] == frozenset()
 
 
+# Arguments to make_model over the worlds a and b where names are wanted but
+# something else is given, with the field each error must name.  A str would
+# be read as its characters and a mapping as its keys, which name worlds and
+# letters here.
+NOT_NAMES = {
+    "pair-string": ((["a", "b"], {"r": ["ab"]}), "access"),
+    "pair-mapping": ((["a", "b"], {"r": [{"a": 1, "b": 2}]}), "access"),
+    "pair-number": ((["a", "b"], {"r": [1]}), "access"),
+    "pairs-string": ((["a", "b"], {"r": "ab"}), "access"),
+    "member-string": ((["a", "b"], {}, {"a": ["ab"]}), "neighborhoods"),
+    "member-mapping": ((["a", "b"], {}, {"a": [{"a": 1}]}), "neighborhoods"),
+    "family-string": ((["a", "b"], {}, {"a": "ab"}), "neighborhoods"),
+    "letters-string": ((["a", "b"], {}, None, {"a": "pq"}), "valuation"),
+    "letters-mapping": ((["a", "b"], {}, None, {"a": {"p": 1}}), "valuation"),
+    "letter-number": ((["a", "b"], {}, None, {"a": ["p", 1]}), "valuation"),
+    "worlds-string": (("ab", {}), "worlds"),
+    "worlds-mapping": (({"a": 1, "b": 2}, {}), "worlds"),
+    "world-number": ((["a", 0], {}), "worlds"),
+    "worlds-none": ((None, {}), "worlds"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_NAMES))
+def test_make_model_refuses_what_is_not_names(kind):
+    args, field = NOT_NAMES[kind]
+    with pytest.raises(ValueError, match=f"^model field '{field}'"):
+        make_model(*args)
+
+
+def test_make_model_reads_names_from_any_other_collection():
+    loose = make_model(
+        ("w0", "w1"),
+        {"r": {("w0", "w1"), ("w1", "w1")}, "s": (pair for pair in [["w0", "w0"]])},
+        {"w0": ({"w1"}, ("w0", "w1")), "w1": ()},
+        {"w0": frozenset(), "w1": ("p",)},
+    )
+    assert loose == tiny()
+
+
+def test_model_errors_do_not_echo_long_names():
+    long = "z" * 5000
+    m = tiny()
+    calls = [
+        lambda: satisfies(m, long, P, BASE),
+        lambda: successors(m, "r", long),
+        lambda: successors(m, long, "w0"),
+        lambda: reflexive_worlds(m, long),
+        lambda: model_to_doc(m, long),
+        lambda: model_from_doc({**model_to_doc(m), "point": long}),
+        lambda: make_model([long, long], {}),
+        lambda: make_model(["w0"], {long: [["w0", long]]}),
+        lambda: make_model(["w0"], {long: 5}),
+        lambda: make_model(["w0"], {}, {long: []}),
+        lambda: make_model(["w0"], {}, {"w0": [[long]]}),
+        lambda: make_model(["w0"], {}, valuation={long: []}),
+        lambda: make_model(["w0"], {}, valuation={long: 5}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert len(str(info.value)) < 200, str(info.value)[:100]
+
+
+def _value_paths(doc, path=()):
+    """The path of every value in a JSON document, the document's own included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _value_paths(value, path + (key,))
+
+
+# What a fuzzed model document's error must say for a fault in each field.
+FIELD_WORDS = {
+    "worlds": "worlds",
+    "access": "access",
+    "neighborhoods": "neighborhood",
+    "valuation": "valuation",
+    "point": "point",
+}
+
+
+def test_mutated_model_documents_are_read_or_refused_by_field(base_corpus):
+    # Each round replaces one value of a valid document by a string, a
+    # number, an object, null or a nested list.  The document must read,
+    # or be refused with a ValueError that names a field: the mutated one,
+    # unless the mutation renamed a world the other fields refer to.
+    rng = random.Random(32)
+    docs = [model_to_doc(m, m.worlds[-1]) for _, m in base_corpus[:20]]
+    replacements = [
+        "w0", "ab", "", 7, -1.5, True, {"w0": ["w0"]}, {}, None,
+        [], [["w0"]], [["w0", "w1"]], [[["w0"]]], [[1, "w0"]], [{"w0": 1}],
+    ]
+    refused = 0
+    for _ in range(3000):
+        doc = deepcopy(rng.choice(docs))
+        path = rng.choice(list(_value_paths(doc)))
+        new = rng.choice(replacements)
+        if not path:
+            doc = new
+        else:
+            parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+            parent[path[-1]] = new
+        try:
+            model_from_doc(doc)
+        except ValueError as exc:
+            refused += 1
+            message = str(exc)
+            named = {f for f, word in FIELD_WORDS.items() if word in message}
+            if not path:
+                assert named or "JSON object" in message, (doc, message)
+            elif path[0] == "worlds":
+                assert named, (path, new, message)
+            else:
+                assert path[0] in named, (path, new, message)
+    assert 0 < refused < 3000
+
+
 def test_model_equality_ignores_input_order():
     a = make_model(
         ["w0", "w1"],
