@@ -114,14 +114,16 @@ def _bounds(args: argparse.Namespace) -> SearchBounds:
             if not eq:
                 raise ValueError(f"bounds take KEY=VALUE, got {piece!r}")
             what = f"bound {key!r}"
-            if key in ("worlds", "seeds"):
-                given[f"max_{key}"] = _number(int, value, what)
+            if key == "worlds":
+                given["max_worlds"] = _number(int, value, what)
+            elif key == "seeds":
+                # Still read, so that callers passing it keep working, and
+                # checked, but ignored: every family menu closes its whole pool.
+                _number(int, value, what)
             elif key == "budget":
                 given["budget_secs"] = _budget(value, what)
             else:
-                raise ValueError(
-                    f"unknown bound {key!r}; expected worlds, seeds, or budget"
-                )
+                raise ValueError(f"unknown bound {key!r}; expected worlds or budget")
     if "budget_secs" not in given:
         env = os.environ.get("RBB_BUDGET_SECS")
         given["budget_secs"] = (
@@ -176,11 +178,7 @@ def _report_outcome(args, outcome, found_text: str, exhausted_text: str) -> int:
         for line in _model_lines(model_to_doc(outcome.model, outcome.world)):
             print(line)
     elif isinstance(outcome, Exhausted):
-        bounds = outcome.bounds
-        print(
-            f"{exhausted_text} "
-            f"(worlds<={bounds.max_worlds}, seeds<={bounds.max_seeds})"
-        )
+        print(f"{exhausted_text} (worlds<={outcome.bounds.max_worlds})")
     else:
         print(f"budget exceeded: {outcome.progress}")
     return _outcome_exit(outcome)
@@ -312,7 +310,6 @@ def _cmd_library(args: argparse.Namespace) -> int:
             "theory": thm.proof.theory.name,
             "steps": len(thm.proof.steps),
             "goal": print_formula(thm.proof.goal),
-            "accepted": True,
         }
         for name, thm in sorted(lib.items())
     ]
@@ -361,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         if bounds:
             cmd.add_argument(
                 "--bounds", action="append", metavar="KEY=VALUE",
-                help="search bounds: worlds=N, seeds=N, budget=SECS "
-                "(repeatable, comma-separable; budget=none lifts the cap)",
+                help="search bounds: worlds=N, budget=SECS (repeatable, "
+                "comma-separable; budget=none lifts the cap; seeds=N is "
+                "accepted and has no effect)",
             )
         return cmd
 

@@ -7,13 +7,15 @@ bitmask order, then neighborhood families.  A family is an integer over
 world sets, bit x set when the world set x is a member, as in
 :class:`~rbb.semantics._Ctx`.  Families are never free subsets of the
 powerset of the powerset: each candidate family is the (rb)-closure of a
-small seed set drawn from the adequacy sets and the extensions of
-belief-free goal subformulas, deduplicated after closure.  The closure ORs
-in the forced sigma seed and then a superset family per believed reason's
-row until nothing changes.  One test, `_admits`, decides whether a family
-may stand at its world: it must hold the sets the point's belief literals
-need, lack those they avoid, and pass the frame checker of
-:meth:`~rbb.semantics._Ctx.faults`, the one `validate_model` reports from.
+subset of a small pool, the adequacy sets and the extensions of
+belief-free goal subformulas, deduplicated after closure.  Every subset
+of the pool is closed, so no family the pool can reach is cut.  The
+closure ORs in the forced sigma seed and then a superset family per
+believed reason's row until nothing changes.  One test, `_admits`,
+decides whether a family may stand at its world: it must hold the sets
+the point's belief literals need, lack those they avoid, and pass the
+frame checker of :meth:`~rbb.semantics._Ctx.faults`, the one
+`validate_model` reports from.
 
 Two shape restrictions keep the space tractable, each applied only when
 provably harmless for the goals at hand.  Relations collapse to a point row
@@ -25,7 +27,7 @@ its class permits: the closure of nothing, or of the sigma adequacy set
 (an empty menu, when that breaks a frame condition, ends the assignment).
 Enlarging a non-point family can only create frame obligations, so the
 minimal choice is also the completeness-optimal one.  Otherwise families
-are enumerated at every world from the same seed pool.
+are enumerated at every world from the same pool.
 
 The quick checks evaluate goals on raw masks with the evaluator the
 public functions use, :class:`~rbb.semantics._Ctx`, so the satisfaction
@@ -114,13 +116,15 @@ combination, and `BudgetExceeded` counts both.
 A candidate that survives the quick checks is rebuilt as a public
 :class:`~rbb.semantics.Model` and re-examined with `validate_model` and
 `satisfies`, so the enumerator's bitmask shortcuts are never the final
-authority.  Exhaustion means the bounded space holds no witness, nothing
-more, and the Exhausted contract has one caveat: families outside the
-seed-closure pool are not tried, so a belief operand that nests Believes
-(``B B p``) can miss a witness.  A reason outside the active alphabet, which
-the goals alone fix and which always holds sigma, sees every world, and a
-shared name's letter holds everywhere, by (pr).  Then r-degree is W, (rb),
-(ma) and (mr) hold for r, and a witness stays one if its goals do not read r.
+authority.  When no goal nests belief, Exhausted covers every model with
+at most ``max_worlds`` worlds: the pool is complete for such goals (see
+`_believed_operands`), and every subset of it is closed.  The contract
+has one caveat: families outside the pool are not tried, so a belief
+operand that nests Believes (``B B p``) can miss a witness.  A reason
+outside the active alphabet, which the goals alone fix and which always
+holds sigma, sees every world, and a shared name's letter holds
+everywhere, by (pr).  Then r-degree is W, (rb), (ma) and (mr) hold for r,
+and a witness stays one if its goals do not read r.
 """
 
 from __future__ import annotations
@@ -165,20 +169,16 @@ from .syntax import (
 from .theory import TheoryConfig
 
 MAX_WORLDS_CAP = 6
-MAX_SEEDS_CAP = 8
 
 
 @dataclass(frozen=True)
 class SearchBounds:
     max_worlds: int = 3
-    max_seeds: int = 4
     budget_secs: float | None = 30.0
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_worlds <= MAX_WORLDS_CAP:
             raise ValueError(f"max_worlds must be in 1..{MAX_WORLDS_CAP}")
-        if not 0 <= self.max_seeds <= MAX_SEEDS_CAP:
-            raise ValueError(f"max_seeds must be in 0..{MAX_SEEDS_CAP}")
         # NaN and infinity too: no clock is ever past either, and JSON has neither.
         if self.budget_secs is not None and not 0 < self.budget_secs < math.inf:
             raise ValueError("budget_secs must be a positive finite number when given")
@@ -196,7 +196,10 @@ class Witness:
 class Exhausted:
     """The bounded space was walked to the end without finding a witness.
 
-    Says nothing about larger models or the theory; see the module docstring.
+    When no goal nests belief, no model of the theory with at most
+    ``bounds.max_worlds`` worlds satisfies the goals at any world.  Says
+    nothing about larger models, and with nested belief only that the
+    searched space holds no witness; see the module docstring.
     """
 
     bounds: SearchBounds
@@ -572,11 +575,13 @@ def _row_filter(
 
 
 def _family_menu(
-    max_seeds: int, pool: list[int], ctx: _Ctx, i: int, prune: bool, need: int = 0, avoid: int = 0
+    pool: list[int], ctx: _Ctx, i: int, prune: bool, need: int = 0, avoid: int = 0
 ) -> list[int]:
-    """The distinct (rb)-closures at world i of up to ``max_seeds`` sets of
-    ``pool``, smallest seed sets first; pruning keeps the admitted ones."""
-    sizes = range(min(max_seeds, len(pool)) + 1)
+    """The distinct (rb)-closures at world i of every subset of ``pool``,
+    smallest subsets first; pruning keeps the admitted ones.  With no
+    nested belief the pool is complete (see `_believed_operands`), so this
+    menu holds every family the point can need."""
+    sizes = range(len(pool) + 1)
     picks = itertools.chain.from_iterable(itertools.combinations(pool, k) for k in sizes)
     closures = dict.fromkeys(_rb_closure(sum(1 << x for x in seeds), i, ctx) for seeds in picks)
     return [family for family in closures if not prune or _admits(ctx, i, family, need, avoid)]
@@ -651,7 +656,7 @@ def iter_candidates(
                             letters[name] |= 1 << i
                 walk = _relation_walk(cfg, n, letters, active_reasons, schedule, keyed, tick, verdicts)
                 for ctx in walk:
-                    yield from _family_stage(bounds.max_seeds, seeds, ctx, point_ready, schedule, tick)
+                    yield from _family_stage(seeds, ctx, point_ready, schedule, tick)
 
 
 def _relation_walk(
@@ -794,7 +799,7 @@ def _relation_walk(
 
 
 def _family_stage(
-    max_seeds: int, seeds: list[Formula], ctx: _Ctx, point_ready: bool, schedule: _Schedule,
+    seeds: list[Formula], ctx: _Ctx, point_ready: bool, schedule: _Schedule,
     tick: Callable[[str], None],
 ) -> Iterator[tuple[Model, str]]:
     """The candidates of one relation assignment ``ctx``, one family per world.
@@ -818,11 +823,11 @@ def _family_stage(
             return
         menus.append([family])
     pool = list(dict.fromkeys(map(ctx.extension, seeds)))
-    point_menu = _family_menu(max_seeds, pool, ctx, 0, prune, *_point_sets(schedule, ctx))
+    point_menu = _family_menu(pool, ctx, 0, prune, *_point_sets(schedule, ctx))
     if not point_menu:
         return
     if not point_ready:
-        menus = [_family_menu(max_seeds, pool, ctx, i, prune) for i in range(1, ctx.n)]
+        menus = [_family_menu(pool, ctx, i, prune) for i in range(1, ctx.n)]
     staged = schedule.staged
     for combo in itertools.product(point_menu, *menus):
         tick(FAMILY)
@@ -918,11 +923,7 @@ def find_models(
 def bounds_to_doc(bounds: SearchBounds) -> dict:
     return {
         "max_worlds": bounds.max_worlds,
-        "max_seeds": bounds.max_seeds,
         "budget_secs": bounds.budget_secs,
-        # Constant nulls keep the pinned outcome documents byte-stable.
-        "reasons": None,
-        "letters": None,
     }
 
 

@@ -211,13 +211,21 @@ def make_model(
 ) -> Model:
     """Check and normalize loose inputs (lists, sets, missing worlds) into a Model.
 
-    Each name is looked at once, in the walk that builds the model.  World
-    names and letters must be strings, and a world reference, a pair end or
-    a neighborhood member, must name a world.  Names come in any collection
+    ``access`` is a mapping, and ``neighborhoods`` and ``valuation`` are
+    mappings or None, which reads as empty.  Each name is looked at once,
+    in the walk that builds the model.  World names, reason names and
+    letters must be strings, and a world reference, a pair end or a
+    neighborhood member, must name a world.  Names come in any collection
     but a str or a mapping, which is never read as its characters or keys.
     Any other input is a ValueError that names its field.  Every world gets
     an explicit neighborhood family and valuation entry.
     """
+    neighborhoods = {} if neighborhoods is None else neighborhoods
+    valuation = {} if valuation is None else valuation
+    fields = ("access", access), ("neighborhoods", neighborhoods), ("valuation", valuation)
+    for key, value in fields:
+        if not isinstance(value, Mapping):
+            raise ValueError(f"model field {key!r} must be a JSON object")
     try:
         ws = _names(worlds, strings=True)
     except TypeError:
@@ -229,6 +237,8 @@ def make_model(
         raise ValueError("model field 'worlds' has duplicate world ids")
     acc: dict[str, frozenset[tuple[str, str]]] = {}
     for reason, pairs in access.items():
+        if not isinstance(reason, str):
+            raise ValueError(f"model field 'access' key {_brief(reason)} must be a string")
         try:
             acc[reason] = frozenset((a, b) for a, b in map(_names, _names(pairs)))
         except (TypeError, ValueError):
@@ -240,7 +250,7 @@ def make_model(
                     f"in {_brief(pair)}"
                 )
     nbhd: dict[str, frozenset[frozenset[str]]] = dict.fromkeys(ws, frozenset())
-    for w, family in (neighborhoods or {}).items():
+    for w, family in neighborhoods.items():
         if w not in wset:
             raise ValueError(f"neighborhood entry for unknown world {_brief(w)}")
         try:
@@ -250,7 +260,7 @@ def make_model(
         if not all(x <= wset for x in nbhd[w]):
             raise ValueError(f"neighborhood of {_brief(w)} contains unknown worlds")
     val: dict[str, frozenset[str]] = dict.fromkeys(ws, frozenset())
-    for w, letters in (valuation or {}).items():
+    for w, letters in valuation.items():
         if w not in wset:
             raise ValueError(f"valuation entry for unknown world {_brief(w)}")
         try:
@@ -742,19 +752,17 @@ def model_from_doc(doc: dict) -> tuple[Model, str | None]:
     or null, which reads as empty, and are otherwise objects: ``access``
     maps a reason to an array of [from, to] pairs, ``neighborhoods`` a
     world to an array of world arrays, ``valuation`` a world to an array of
-    letters.  This function checks the document and its three objects;
-    :func:`make_model` checks every name in them as it builds the model.
+    letters.  This function checks that the document is an object;
+    :func:`make_model` checks the rest as it builds the model.
     Any other shape is a ValueError that names the field; a string is never
     read as its characters.
     """
     if not isinstance(doc, dict):
         raise ValueError("a model document must be a JSON object")
-    for key in ("access", "neighborhoods", "valuation"):
-        value = doc.get(key)
-        if value is not None and not isinstance(value, dict):
-            raise ValueError(f"model field {key!r} must be a JSON object")
+    access = doc.get("access")
     model = make_model(
-        doc.get("worlds"), doc.get("access") or {}, doc.get("neighborhoods"), doc.get("valuation")
+        doc.get("worlds"), {} if access is None else access,
+        doc.get("neighborhoods"), doc.get("valuation"),
     )
     point = doc.get("point")
     if point is not None:

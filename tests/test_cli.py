@@ -189,7 +189,9 @@ def _tdtd_nor_witness(t0_pairs):
 def test_tdtd_nor_report_is_pinned(capsys):
     # The paper's headline Gettier query, at the benchmark's bounds.  The
     # expected report is the one the search gave before node hashes were
-    # cached; the digest covers the whole output, byte for byte.
+    # cached, less the bounds keys that were dropped since (max_seeds and
+    # the constant reasons and letters); the digest covers the whole
+    # output, byte for byte.
     code, out, _ = run(
         capsys, "scenario", "TDTD+NoR", "--format", "json",
         "--bounds", "worlds=3,seeds=4,budget=120",
@@ -213,23 +215,24 @@ def test_tdtd_nor_report_is_pinned(capsys):
     assert doc["queries"][1]["counterexample"] == first
     assert doc["queries"][1]["nonvalidity"] == first
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d1ffa39ddb2331e25ea50a79f5ce2058724566b219b04d448c4b9aead25748b5"
+        "052d5e4380ad2178859c115a7c3bd57b8754b13ea3bf519829904770e7bc0312"
     )
 
 
 # The other nine reports at the same bounds, frozen from the search as it
-# stood before the point's belief literals filtered its family menu; the
-# digests cover the whole JSON output, byte for byte.
+# stood before the point's belief literals filtered its family menu, less
+# the dropped bounds keys; the digests cover the whole JSON output, byte
+# for byte.
 SCENARIO_DIGESTS = {
-    "G2": "fc65b93fc3a3cbcc760bbdfa4da560b108cf5ddc8639ff560d79790cff983eb8",
-    "G2prime": "6de48ca02239edfd4f79ea9797e2ca99713515d96169cef36bca60d8262b1b2b",
-    "Barn": "9b271989427ef38952f3ff687cd1f889f7e955c87c853a5a5a073f860c609c83",
+    "G2": "1d2d692fb6e8f4b4474b3a848a20ff2e9d7ebbb6d87876b56cf01c8266b8d9d6",
+    "G2prime": "5a29d369ca7f3b2079734e11620e311847ea3769031c6cedb733ea1466fe3e7e",
+    "Barn": "9c85670c062680dcc6f3e93c41c8d0665b477f541c9a8a6d9744bd2229bc5dca",
     "BarnPrime": "dcb3be17a5011093b7ddb79d4fc437e556e3c4dad09ff35800e33240d4d70cdb",
-    "BarnAdequate": "c02c7211b0109d2eb68a4aaa4f051953a8c22a5d90b0860be100d9444ec1375e",
+    "BarnAdequate": "ffc892fc0941bbdc7d43f542a843b4fb4898e8dc07a505b8fdffea9ca1ef2c20",
     "BarnInadequate": "f3d50d2e32ed9bf69ebf9f1d5540be97d6379ef55e7a929826e899e5621e03f7",
-    "TDTD": "b581fd0cea6da09c64ef843c546432c894e0de245b9562aa561177cc281c3e0c",
+    "TDTD": "bed982e78b96ac24d57f02f1db32474c3c737d853501505c8d6c18ce30e27e2a",
     "noRCL": "6a6723d93e4ee1429da76b8969ed1bfc6b24d183a1165518c08395d85c24c019",
-    "MixedMersenne": "79bfe513b9581a459ca97341a694ecf174ce1b42acddcf859e591496f64dc904",
+    "MixedMersenne": "5011db5701a2057b64a718db18f6ae3902963d27a0f28e49c45a942e19fe9dff",
 }
 
 
@@ -499,7 +502,7 @@ def test_find_model_text_output(capsys):
 def test_nonvalid_exit_codes(capsys):
     code, out, _ = run(capsys, "nonvalid", "p | ~p")
     assert code == EXIT_EXHAUSTED
-    assert out == "no countermodel within bounds (worlds<=3, seeds<=4)\n"
+    assert out == "no countermodel within bounds (worlds<=3)\n"
     code, out, _ = run(capsys, "nonvalid", "B p -> p")
     assert code == EXIT_OK
     assert out.startswith("not valid: countermodel found\n")
@@ -548,6 +551,17 @@ def test_bounds_parsing(capsys):
         code, _, err = run(capsys, "nonvalid", "p", "--bounds", bound)
         assert code == EXIT_BAD_INPUT
         assert err == f"error: {message}\n"
+
+
+def test_seeds_bound_is_accepted_and_has_no_effect(capsys):
+    # Every family menu closes every subset of its pool, so seeds=N bounds
+    # nothing; it is still read, and still checked as an integer.
+    for formula, code in (("p | ~p", EXIT_EXHAUSTED), ("B p -> p", EXIT_OK)):
+        for fmt in ("text", "json"):
+            argv = ("nonvalid", "--format", fmt, formula, "--bounds")
+            plain = run(capsys, *argv, "worlds=2")
+            assert plain[0] == code
+            assert run(capsys, *argv, "worlds=2,seeds=4") == plain
 
 
 def test_scenario_json_default(capsys):
@@ -603,9 +617,9 @@ def test_library_table(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["accepted"] == doc["total"] == 14
-    assert all(row["accepted"] is True for row in doc["theorems"])
+    assert all(row.keys() == {"name", "theory", "steps", "goal"} for row in doc["theorems"])
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "bf179c8fa5ba6bab3609538fe8de1d135667f4737f92c6c47e058ad6903d77a1"
+        "ba50c21c7660cc389ac6b7045dd6b033078b68115fae06c3f91f142db4c197cb"
     )
 
 

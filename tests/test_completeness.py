@@ -4,7 +4,7 @@
 `validate_model` accepts satisfies the goals at a world.  Every model on
 worlds w0..w(n-1) is enumerated, so a pointed model at any world has an
 isomorphic copy pointed at w0.  The goal sets keep their belief operands
-free of Believes, the scope of the seed-closure pool; the nested case is the
+free of Believes, the scope of the family pool; the nested case is the
 documented gap of the Exhausted contract.
 """
 

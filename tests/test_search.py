@@ -72,10 +72,6 @@ def test_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(max_worlds=7)
     with pytest.raises(ValueError):
-        SearchBounds(max_seeds=-1)
-    with pytest.raises(ValueError):
-        SearchBounds(max_seeds=9)
-    with pytest.raises(ValueError):
         SearchBounds(budget_secs=0.0)
     with pytest.raises(ValueError):
         SearchBounds(budget_secs=-2.5)
@@ -88,6 +84,9 @@ def test_bounds_name_no_alphabet():
         SearchBounds(reasons=("r",))
     with pytest.raises(TypeError):
         SearchBounds(letters=("p",))
+    # Nor bound the family menus: each closes every subset of its pool.
+    with pytest.raises(TypeError):
+        SearchBounds(max_seeds=4)
 
 
 def test_nan_budget_is_refused():
@@ -106,28 +105,37 @@ def test_outcome_docs():
     e = Exhausted(W2)
     assert outcome_to_doc(e) == {
         "kind": "exhausted",
-        "bounds": {
-            "max_worlds": 2,
-            "max_seeds": 4,
-            "budget_secs": 30.0,
-            "reasons": None,
-            "letters": None,
-        },
+        "bounds": {"max_worlds": 2, "budget_secs": 30.0},
     }
     b = BudgetExceeded("stopped after 128 candidates, 2 of 3 worlds")
     assert outcome_to_doc(b)["kind"] == "budget-exceeded"
     assert "128" in outcome_to_doc(b)["progress"]
 
 
-def test_seed_bound_holds_at_the_point():
-    # N(w0) must hold ext(p); with no seed allowed the point's family menu
-    # is empty, and each relation assignment ends before the other worlds.
-    goals = [parse("B p", RBB)]
-    out = find_model(goals, RBB, SearchBounds(max_seeds=0))
-    assert out == Exhausted(SearchBounds(max_seeds=0))
-    out = find_model(goals, RBB, SearchBounds(max_seeds=1))
+def test_point_menu_closes_every_subset_of_its_pool():
+    # Eight pool formulas: the adequacy sets of r and s and six operands.
+    # The first witness's N(w0) is the closure of five of their sets, so a
+    # menu cut to subsets of at most four, as the seeds bound's default 4
+    # cut it, returned a later witness first.
+    cfg = TheoryConfig.from_name("RBB", reasons=("r", "s"), letters=("p", "q"))
+    texts = ["B p", "B q", "~B (p & q)", "B (p | q)", "B (p <-> q)", "~B (q -> p)", "B r", "B s"]
+    goals = [parse(text, cfg) for text in texts]
+    out = find_model(goals, cfg, SearchBounds(max_worlds=4))
     assert isinstance(out, Witness)
-    assert satisfies(out.model, out.world, goals[0], RBB)
+    row = [["w0", "w0"], ["w0", "w1"], ["w0", "w2"], ["w1", "w1"], ["w2", "w2"]]
+    assert outcome_to_doc(out)["model"] == {
+        "worlds": ["w0", "w1", "w2", "w3"],
+        "point": "w0",
+        "access": {"r": row, "s": row},
+        "neighborhoods": {
+            "w0": [
+                ["w0", "w1", "w2"], ["w0", "w1", "w2", "w3"], ["w0", "w3"],
+                ["w1", "w2", "w3"], ["w1", "w3"], ["w2", "w3"],
+            ],
+            "w1": [], "w2": [], "w3": [],
+        },
+        "valuation": {"w0": [], "w1": ["p"], "w2": ["q"], "w3": ["p", "q"]},
+    }
 
 
 def test_contradiction_exhausts():

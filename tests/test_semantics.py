@@ -479,10 +479,10 @@ def test_make_model_normalizes_and_validates():
     assert m.valuation["w1"] == frozenset()
 
 
-# Arguments to make_model over the worlds a and b where names are wanted but
-# something else is given, with the field each error must name.  A str would
-# be read as its characters and a mapping as its keys, which name worlds and
-# letters here.
+# Arguments to make_model where names, or a mapping keyed by names, are
+# wanted but something else is given, with the field each error must name.
+# A str would be read as its characters and a mapping as its keys, which
+# name worlds and letters here.
 NOT_NAMES = {
     "pair-string": ((["a", "b"], {"r": ["ab"]}), "access"),
     "pair-mapping": ((["a", "b"], {"r": [{"a": 1, "b": 2}]}), "access"),
@@ -498,6 +498,14 @@ NOT_NAMES = {
     "worlds-mapping": (({"a": 1, "b": 2}, {}), "worlds"),
     "world-number": ((["a", 0], {}), "worlds"),
     "worlds-none": ((None, {}), "worlds"),
+    # A field that is not a mapping: None reads as empty except for access.
+    "access-list": ((["a"], ["r"]), "access"),
+    "access-none": ((["a"], None), "access"),
+    "neighborhoods-list": ((["a"], {}, ["a"]), "neighborhoods"),
+    "neighborhoods-empty-list": ((["a"], {}, []), "neighborhoods"),
+    "valuation-pairs": ((["a"], {}, None, [("a", ["p"])]), "valuation"),
+    # 5 is not "5", which alone could name the reason a formula reads.
+    "reason-number": ((["a"], {5: [("a", "a")]}), "access"),
 }
 
 
