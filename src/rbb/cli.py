@@ -138,6 +138,8 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
         except RecursionError:
             raise ValueError(f"{path}: JSON document nested too deeply") from None
+        except ValueError as exc:  # bad syntax, bytes that are not UTF-8, a huge integer
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _emit_json(doc: dict) -> None:

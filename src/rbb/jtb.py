@@ -33,7 +33,6 @@ from .search import (
 )
 from .semantics import ensure_in_language, satisfies
 from .syntax import (
-    SIGMA_NAME,
     Adequate,
     AtomicReason,
     Believes,
@@ -79,9 +78,7 @@ def _fresh(formula: Formula, cfg: TheoryConfig, second: bool = False) -> str:
     if not cfg.quantified:
         raise ValueError("quantified JTB forms need a quantified theory")
     free = free_reasons(formula)
-    candidates = [
-        name for name in cfg.reasons if name != SIGMA_NAME and name not in free
-    ]
+    candidates = [name for name in cfg.basic_reasons if name not in free]
     if not candidates:
         raise NoFreshVariable(
             f"no declared reason is fresh for {print_formula(formula)!r}"

@@ -328,10 +328,12 @@ def proof_from_doc(doc: dict) -> Proof:
         raise ValueError("proof field 'goal' must be a string")
     if not isinstance(doc.get("steps"), list):
         raise ValueError("proof field 'steps' must be a JSON array")
+    if not isinstance(doc.get("name", ""), str):
+        raise ValueError("proof field 'name' must be a string")
     steps = []
     for pos, s in enumerate(doc["steps"], start=1):
         if not isinstance(s, dict) or not isinstance(s.get("f"), str):
             raise ValueError(f"proof step {pos} needs a string field 'f'")
         i, f = _index(s.get("i")), parse(s["f"], cfg)
         steps.append(ProofStep(i, f, _just_from_doc(s.get("by"), cfg)))
-    return Proof(cfg, str(doc.get("name", "")), parse(doc["goal"], cfg), steps)
+    return Proof(cfg, doc.get("name", ""), parse(doc["goal"], cfg), steps)

@@ -1,9 +1,9 @@
 """Theory configurations and axiom-scheme recognition for the RBB family.
 
-A :class:`TheoryConfig` fixes the variant flags (quantified, sigma,
-sigma-plus, App), the finite reason and letter alphabets, and whether the two
-alphabets may overlap.  The flags determine which axiom schemes and inference
-rules are available:
+A :class:`TheoryConfig` names a member of the family and fixes the finite
+reason and letter alphabets and whether the two may overlap.  The variant
+flags (quantified, sigma, sigma-plus, App) follow from the name, and they
+determine which axiom schemes and inference rules are available:
 
 * every variant has the classical schemes (CL), (A), (RB), (D) and the rules
   MP, RN, E; all but the App variant also have (RK);
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .semantics import _Ctx, superset_family
@@ -106,27 +106,43 @@ def _check_names(kind: str, names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
+def _flags(name: str) -> dict[str, bool]:
+    """The variant flags a member's name spells: ``Q``, ``s``, ``s+`` and ``App``."""
+    if name not in THEORY_NAMES:
+        raise ValueError(f"unknown theory {_brief(name)}; expected one of {THEORY_NAMES}")
+    return {
+        "quantified": name[0] == "Q",
+        "sigma": "s" in name,
+        "sigma_plus": name.endswith("s+"),
+        "app": name.endswith("App"),
+    }
+
+
 @dataclass(frozen=True)
 class TheoryConfig:
-    """A member of the RBB family together with its session alphabets."""
+    """A member of the RBB family, by name, together with its session alphabets.
 
+    The name is one of :data:`THEORY_NAMES`.  The variant flags are not
+    constructor arguments: they follow from the name, so every configuration
+    is a member of the family.
+    """
+
+    name: str
     reasons: tuple[str, ...]
     letters: tuple[str, ...]
-    quantified: bool = False
-    sigma: bool = False
-    sigma_plus: bool = False
-    app: bool = False
     allow_overlap: bool = False
+    quantified: bool = field(init=False)
+    sigma: bool = field(init=False)
+    sigma_plus: bool = field(init=False)
+    app: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        for flag, holds in _flags(self.name).items():
+            object.__setattr__(self, flag, holds)
         object.__setattr__(self, "reasons", tuple(self.reasons))
         object.__setattr__(self, "letters", tuple(self.letters))
         _check_names("reason", self.reasons)
         _check_names("letter", self.letters)
-        if self.sigma_plus and not self.sigma:
-            raise ValueError("sigma_plus requires sigma")
-        if self.app and (self.quantified or self.sigma):
-            raise ValueError("the App variant excludes quantified and sigma variants")
         if (SIGMA_NAME in self.reasons) != self.sigma:
             if self.sigma:
                 raise ValueError("sigma theories must declare 'sigma' among the reasons")
@@ -149,30 +165,12 @@ class TheoryConfig:
         letters: tuple[str, ...] | list[str],
         allow_overlap: bool = False,
     ) -> "TheoryConfig":
-        if name not in THEORY_NAMES:
-            raise ValueError(f"unknown theory {_brief(name)}; expected one of {THEORY_NAMES}")
-        sigma = name in ("RBBs", "RBBs+", "QRBBs", "QRBBs+")
+        """The named member; a sigma theory gets ``sigma`` appended to its reasons."""
+        sigma = _flags(name)["sigma"]
         reasons = tuple(reasons)
         if sigma and SIGMA_NAME not in reasons:
-            reasons = reasons + (SIGMA_NAME,)
-        return cls(
-            reasons=reasons,
-            letters=tuple(letters),
-            quantified=name.startswith("Q"),
-            sigma=sigma,
-            sigma_plus=name.endswith("+") and name != "RBB+App",
-            app=name == "RBB+App",
-            allow_overlap=allow_overlap,
-        )
-
-    @property
-    def name(self) -> str:
-        if self.app:
-            return "RBB+App"
-        out = ("Q" if self.quantified else "") + "RBB"
-        if self.sigma:
-            out += "s+" if self.sigma_plus else "s"
-        return out
+            reasons += (SIGMA_NAME,)
+        return cls(name, reasons, letters, allow_overlap)
 
     def to_doc(self) -> dict:
         return {

@@ -715,6 +715,9 @@ BAD_PROOF_FIELDS = {
     ),
     "document-array": ([IDENTITY_PROOF], "a proof document must be a JSON object"),
     "steps-object": (_proof_with(("steps",), {}), "'steps'"),
+    "name-null": (_proof_with(("name",), None), "proof field 'name' must be a string"),
+    "name-number": (_proof_with(("name",), 5), "proof field 'name' must be a string"),
+    "name-object": (_proof_with(("name",), {"x": [1]}), "proof field 'name' must be a string"),
 }
 
 
@@ -893,6 +896,26 @@ def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path, command):
     assert (code, out, err) == (
         EXIT_BAD_INPUT, "", f"error: {path}: JSON document nested too deeply\n"
     )
+
+
+@pytest.mark.parametrize("command", ["check-proof", "validate-model", "eval"])
+@pytest.mark.parametrize(
+    "data,reason",
+    [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"worlds": ["a"],}', "Expecting property name enclosed in double quotes"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["empty", "trailing-comma", "not-utf-8"],
+)
+def test_a_file_that_is_not_json_is_named(capsys, tmp_path, command, data, reason):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    argv = ["eval", "--model", str(path), "p"] if command == "eval" else [command, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith(f"error: {path}: not valid JSON: {reason}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_eval_at_an_empty_world_name_is_not_the_point(capsys, tmp_path):

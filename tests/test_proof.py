@@ -199,6 +199,12 @@ def test_doc_round_trip_with_e_and_a_citation():
     assert check_proof(proof, derived_library()) == ACCEPTED
 
 
+def test_an_absent_proof_name_reads_as_empty():
+    doc = proof_to_doc(derived_library()["RC"].proof)
+    del doc["name"]
+    assert proof_from_doc(doc).name == ""
+
+
 APP = TheoryConfig.from_name("RBB+App", ("r", "s"), ("p", "q"))
 TAUT, EQ = impl(P, P), iff(P, Not(Not(P)))
 SR = App(atom_term("s"), R)

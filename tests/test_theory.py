@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -76,14 +77,23 @@ def test_unknown_theory_name():
         TheoryConfig.from_name("RBB++", ("r",), ("p",))
 
 
-def test_sigma_plus_requires_sigma():
-    with pytest.raises(ValueError):
-        TheoryConfig(reasons=("r",), letters=("p",), sigma_plus=True)
+@pytest.mark.parametrize("name", ["RBB++", "rbb", "", None, 5, ["RBB"]])
+def test_the_constructor_refuses_an_unknown_name_as_from_name_does(name):
+    with pytest.raises(ValueError) as direct:
+        TheoryConfig(name, ("r",), ("p",))
+    with pytest.raises(ValueError) as named:
+        TheoryConfig.from_name(name, ("r",), ("p",))
+    assert str(direct.value) == str(named.value)
+    assert str(direct.value).startswith("unknown theory ")
+    assert "expected one of ('RBB', 'RBBs'," in str(direct.value)
 
 
-def test_app_excludes_other_variants():
-    with pytest.raises(ValueError):
-        TheoryConfig(reasons=("r",), letters=("p",), app=True, quantified=True)
+def test_the_flags_are_not_constructor_arguments():
+    init = [f.name for f in dataclasses.fields(TheoryConfig) if f.init]
+    assert init == ["name", "reasons", "letters", "allow_overlap"]
+    for flag in ("quantified", "sigma", "sigma_plus", "app"):
+        with pytest.raises(TypeError):
+            TheoryConfig("RBBs", ("r", "sigma"), ("p",), **{flag: True})
 
 
 def test_sigma_cannot_be_a_letter():
